@@ -12,13 +12,12 @@ an append-only audit log.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
@@ -110,8 +109,10 @@ class _GridIndex:
             if not ids:
                 del self._cells[cell]
 
-    def clear(self) -> None:
-        self._cells.clear()
+    def merge(self, other: "_GridIndex") -> None:
+        """Add every entry of another index built with the same cell size."""
+        for cell, ids in other._cells.items():
+            self._cells.setdefault(cell, set()).update(ids)
 
     def _ids_in_cell_rect(self, i0: int, i1: int, j0: int, j1: int) -> Iterator[str]:
         if (i1 - i0 + 1) * (j1 - j0 + 1) > len(self._cells):
@@ -175,10 +176,18 @@ class _GridIndex:
 class Registry:
     """The restricted-box store.
 
-    Thread-safe behind a single lock: one writer at a time, and readers see
-    only committed state. With ``snapshot_path`` set, mutations are durable
-    before they return; with ``audit_log_path`` set, merge-absorbed boxes
-    are appended there instead of vanishing.
+    Thread-safe behind two locks. A writer mutex serialises every mutator
+    (``add_box``, ``bulk_load``, ``load_snapshot``, ``snapshot_save``); the
+    writer does its slow work under it alone: overlap search, encode, audit
+    append and the snapshot write and fsync. A short state lock guards the
+    in-memory set: readers hold it for their query, and a writer takes it
+    only to swap in a committed change. Only writer-mutex holders change the
+    state, so a writer reads it without the state lock. Readers therefore
+    see committed state only and never wait on snapshot I/O.
+
+    With ``snapshot_path`` set, mutations are durable before they return and
+    nothing is applied when persisting fails; with ``audit_log_path`` set,
+    merge-absorbed boxes are appended there instead of vanishing.
     """
 
     def __init__(
@@ -192,7 +201,8 @@ class Registry:
             raise ValueError("cell_size_deg must be positive")
         self.snapshot_path = snapshot_path
         self.audit_log_path = audit_log_path
-        self._lock = threading.RLock()
+        self._write_lock = threading.Lock()  # serialises mutators
+        self._lock = threading.Lock()  # guards the state readers see
         self._boxes: dict[str, RestrictedBox] = {}
         self._lines: dict[str, bytes] = {}  # cached snapshot line per box
         self._index = _GridIndex(cell_size_deg)
@@ -204,15 +214,11 @@ class Registry:
 
     # -- identity ---------------------------------------------------------
 
-    def _new_id(self) -> str:
+    def _new_id(self, pending: Container[str] = ()) -> str:
         while True:
             box_id = f"{self._id_rng.getrandbits(128):032x}"
-            if box_id not in self._boxes:
+            if box_id not in self._boxes and box_id not in pending:
                 return box_id
-
-    def _note_extent(self, extent: BoxExtent) -> None:
-        self._max_half_w = max(self._max_half_w, (extent.max_lon - extent.min_lon) / 2.0)
-        self._max_half_h = max(self._max_half_h, (extent.max_lat - extent.min_lat) / 2.0)
 
     # -- queries ----------------------------------------------------------
 
@@ -275,12 +281,12 @@ class Registry:
     def add_box(self, extent: BoxExtent, added_by: str, reason: str, now: float) -> AddOutcome:
         """Insert a box, merging away any overlap; durable before return.
 
-        If persistence fails nothing is applied: the in-memory set and the
-        snapshot on disk both keep their previous contents.
+        If persistence fails nothing is applied: the in-memory set, the
+        snapshot on disk and the audit log all keep their previous contents.
         """
         if not added_by:
             raise ValueError("added_by must be non-empty")
-        with self._lock:
+        with self._write_lock:
             union, absorbed = self._overlapping_group(extent)
             stored = RestrictedBox(
                 id=self._new_id(),
@@ -291,22 +297,31 @@ class Registry:
                 created_at=now,
             )
             stored_line = snapshot.encode_record(box_record(stored))
+            audit_size = None
             if absorbed and self.audit_log_path:
-                self._append_audit(stored.id, absorbed.values(), now)
+                audit_size = self._append_audit(stored.id, absorbed.values(), now)
             if self.snapshot_path:
                 lines = [
                     line for box_id, line in self._lines.items() if box_id not in absorbed
                 ]
                 lines.append(stored_line)
-                snapshot.write_snapshot(self.snapshot_path, lines)
-            for box in absorbed.values():
-                del self._boxes[box.id]
-                del self._lines[box.id]
-                self._index.discard(box.id, box.centroid)
-            self._boxes[stored.id] = stored
-            self._lines[stored.id] = stored_line
-            self._index.add(stored.id, stored.centroid)
-            self._note_extent(union)
+                try:
+                    snapshot.write_snapshot(self.snapshot_path, lines)
+                except BaseException:
+                    # the merge did not commit, so the audit log must not claim it
+                    if audit_size is not None:
+                        self._truncate_audit(audit_size)
+                    raise
+            half_w, half_h = _half_extent_bound([union], self._max_half_w, self._max_half_h)
+            with self._lock:
+                for box in absorbed.values():
+                    del self._boxes[box.id]
+                    del self._lines[box.id]
+                    self._index.discard(box.id, box.centroid)
+                self._boxes[stored.id] = stored
+                self._lines[stored.id] = stored_line
+                self._index.add(stored.id, stored.centroid)
+                self._max_half_w, self._max_half_h = half_w, half_h
             return AddOutcome(stored=stored, replaced_ids=tuple(sorted(absorbed)))
 
     def bulk_load(
@@ -320,29 +335,37 @@ class Registry:
 
         Fast path for benchmarks and synthetic corpora, where box counts
         must stay exact; merge semantics apply only to add_box. Snapshots
-        once at the end when bound to a path.
+        once at the end when bound to a path, before anything is applied.
         """
         if not added_by:
             raise ValueError("added_by must be non-empty")
-        with self._lock:
-            loaded = 0
+        with self._write_lock:
+            boxes: dict[str, RestrictedBox] = {}
+            lines: dict[str, bytes] = {}
+            index = _GridIndex(self._index.cell_size)
             for extent in extents:
                 box = RestrictedBox(
-                    id=self._new_id(),
+                    id=self._new_id(boxes),
                     extent=extent,
                     centroid=geo.centroid(extent),
                     added_by=added_by,
                     reason=reason,
                     created_at=now,
                 )
-                self._boxes[box.id] = box
-                self._lines[box.id] = snapshot.encode_record(box_record(box))
-                self._index.add(box.id, box.centroid)
-                self._note_extent(extent)
-                loaded += 1
+                boxes[box.id] = box
+                lines[box.id] = snapshot.encode_record(box_record(box))
+                index.add(box.id, box.centroid)
             if self.snapshot_path:
-                snapshot.write_snapshot(self.snapshot_path, list(self._lines.values()))
-            return loaded
+                snapshot.write_snapshot(self.snapshot_path, [*self._lines.values(), *lines.values()])
+            half_w, half_h = _half_extent_bound(
+                (box.extent for box in boxes.values()), self._max_half_w, self._max_half_h
+            )
+            with self._lock:
+                self._boxes.update(boxes)
+                self._lines.update(lines)
+                self._index.merge(index)
+                self._max_half_w, self._max_half_h = half_w, half_h
+            return len(boxes)
 
     # -- persistence ------------------------------------------------------
 
@@ -351,7 +374,7 @@ class Registry:
         target = path or self.snapshot_path
         if not target:
             raise ValueError("no snapshot path given or bound")
-        with self._lock:
+        with self._write_lock:
             snapshot.write_snapshot(target, list(self._lines.values()))
 
     def load_snapshot(self, path: str | None = None) -> int:
@@ -359,31 +382,32 @@ class Registry:
         source = path or self.snapshot_path
         if not source:
             raise ValueError("no snapshot path given or bound")
-        records = snapshot.read_snapshot(source)
-        boxes = []
-        for record in records:
-            try:
-                boxes.append(box_from_record(record))
-            except (ValueError, geo.InvalidCoordinate) as exc:
-                raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
-        with self._lock:
-            self._boxes.clear()
-            self._lines.clear()
-            self._index.clear()
-            self._max_half_w = 0.0
-            self._max_half_h = 0.0
-            for box in boxes:
-                if box.id in self._boxes:
+        with self._write_lock:
+            records = snapshot.read_snapshot(source)
+            boxes: dict[str, RestrictedBox] = {}
+            lines: dict[str, bytes] = {}
+            index = _GridIndex(self._index.cell_size)
+            for record in records:
+                try:
+                    box = box_from_record(record)
+                except (ValueError, geo.InvalidCoordinate) as exc:
+                    raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
+                if box.id in boxes:
                     raise CorruptSnapshot(f"{source}: duplicate box id {box.id}")
-                self._boxes[box.id] = box
-                self._lines[box.id] = snapshot.encode_record(box_record(box))
-                self._index.add(box.id, box.centroid)
-                self._note_extent(box.extent)
+                boxes[box.id] = box
+                lines[box.id] = snapshot.encode_record(box_record(box))
+                index.add(box.id, box.centroid)
+            half_w, half_h = _half_extent_bound(box.extent for box in boxes.values())
+            with self._lock:
+                self._boxes, self._lines, self._index = boxes, lines, index
+                self._max_half_w, self._max_half_h = half_w, half_h
             return len(boxes)
 
-    def _append_audit(self, merged_into: str, absorbed: Iterable[RestrictedBox], now: float) -> None:
+    def _append_audit(self, merged_into: str, absorbed: Iterable[RestrictedBox], now: float) -> int:
+        """Append one entry per absorbed box, durably; return the prior file size."""
         try:
-            with open(self.audit_log_path, "a", encoding="utf-8") as f:
+            with open(self.audit_log_path, "ab") as f:
+                size = f.seek(0, os.SEEK_END)
                 for box in absorbed:
                     entry = {
                         "event": "absorbed",
@@ -391,8 +415,29 @@ class Registry:
                         "merged_into": merged_into,
                         "box": box_record(box),
                     }
-                    f.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+                    f.write(snapshot.encode_record(entry))
                 f.flush()
                 os.fsync(f.fileno())
         except OSError as exc:
             raise StorageFailure(f"cannot append audit log {self.audit_log_path}: {exc}") from exc
+        return size
+
+    def _truncate_audit(self, size: int) -> None:
+        """Cut the audit log back to size, durably, dropping uncommitted entries."""
+        try:
+            with open(self.audit_log_path, "r+b") as f:
+                f.truncate(size)
+                f.flush()
+                os.fsync(f.fileno())
+        except OSError as exc:
+            raise StorageFailure(f"cannot roll back audit log {self.audit_log_path}: {exc}") from exc
+
+
+def _half_extent_bound(
+    extents: Iterable[BoxExtent], half_w: float = 0.0, half_h: float = 0.0
+) -> tuple[float, float]:
+    """Largest half-width and half-height, in degrees, over extents and the floors given."""
+    for extent in extents:
+        half_w = max(half_w, (extent.max_lon - extent.min_lon) / 2.0)
+        half_h = max(half_h, (extent.max_lat - extent.min_lat) / 2.0)
+    return half_w, half_h

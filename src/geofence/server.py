@@ -144,6 +144,9 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(length_header)
         except ValueError:
             raise _ApiError(400, "malformed_request", "invalid Content-Length") from None
+        if length < 0:
+            # rfile.read(-1) would read to EOF, past the size limit below
+            raise _ApiError(400, "malformed_request", "invalid Content-Length")
         if length > self.server.config.max_body_bytes:
             raise _ApiError(413, "body_too_large", f"request body exceeds {self.server.config.max_body_bytes} bytes")
         try:

@@ -2,10 +2,11 @@
 
 import json
 import random
+import threading
 
 import pytest
 
-from geofence import geo
+from geofence import geo, snapshot
 from geofence.geo import MILE_M, BoxExtent, GeoPoint
 from geofence.registry import Registry, box_from_record, box_record
 from geofence.snapshot import CorruptSnapshot, StorageFailure
@@ -290,6 +291,79 @@ def test_failed_persistence_applies_nothing(tmp_path):
     reloaded = Registry()
     reloaded.load_snapshot(path)
     assert {b.id for b in reloaded.all_boxes()} == {first.stored.id}
+
+
+def test_failed_bulk_load_applies_nothing(tmp_path):
+    reg = Registry(snapshot_path=str(tmp_path / "missing-dir" / "reg.snap"))
+    with pytest.raises(StorageFailure):
+        reg.bulk_load([BoxExtent(0, 0, 1, 1)], added_by="gen", reason="", now=0)
+    assert reg.count() == 0
+
+
+def test_corrupt_snapshot_load_keeps_previous_contents(tmp_path):
+    path = str(tmp_path / "dup.snap")
+    line = snapshot.encode_record(box_record(add(Registry(), BoxExtent(5, 5, 6, 6)).stored))
+    snapshot.write_snapshot(path, [line, line])
+    reg = Registry()
+    kept = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    with pytest.raises(CorruptSnapshot):
+        reg.load_snapshot(path)
+    assert reg.all_boxes() == [kept]
+
+
+def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):
+    path = str(tmp_path / "reg.snap")
+    reg = Registry(snapshot_path=path)
+    first = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    writing, release = threading.Event(), threading.Event()
+    write_snapshot = snapshot.write_snapshot
+
+    def blocking_write(target, lines):
+        writing.set()
+        release.wait(timeout=10.0)
+        write_snapshot(target, lines)
+
+    monkeypatch.setattr(snapshot, "write_snapshot", blocking_write)
+    added, seen = [], []
+    writer = threading.Thread(target=lambda: added.append(add(reg, BoxExtent(5, 5, 6, 6))), daemon=True)
+    reader = threading.Thread(
+        target=lambda: seen.append(
+            (reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0), reg.count())
+        ),
+        daemon=True,
+    )
+    writer.start()
+    try:
+        assert writing.wait(timeout=5.0)
+        reader.start()
+        reader.join(timeout=1.0)
+        # the reader finished while the write was still blocked, and saw
+        # only the committed set
+        assert not reader.is_alive()
+        assert seen == [([first], 1)]
+    finally:
+        release.set()
+        writer.join(timeout=10.0)
+        reader.join(timeout=10.0)
+    assert not writer.is_alive()
+    stored = added[0].stored
+    assert {b.id for b in reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0)} == {first.id, stored.id}
+    reloaded = Registry()
+    assert reloaded.load_snapshot(path) == 2
+    assert {b.id for b in reloaded.all_boxes()} == {first.id, stored.id}
+
+
+def test_failed_merge_leaves_audit_log_unchanged(tmp_path):
+    audit = tmp_path / "reg.audit"
+    reg = Registry(snapshot_path=str(tmp_path / "reg.snap"), audit_log_path=str(audit))
+    add(reg, BoxExtent(0, 0, 1, 1))
+    merged = add(reg, BoxExtent(0.5, 0.5, 2, 2)).stored  # one audit entry
+    before = audit.read_bytes()
+    reg.snapshot_path = str(tmp_path / "missing-dir" / "reg.snap")
+    with pytest.raises(StorageFailure):
+        add(reg, BoxExtent(1.5, 1.5, 3, 3))  # would absorb the merged box
+    assert reg.all_boxes() == [merged]
+    assert audit.read_bytes() == before
 
 
 def test_audit_log_records_absorbed_boxes(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import socket
 import urllib.error
 import urllib.request
 
@@ -127,6 +128,21 @@ def test_post_oversize_body_is_413(live_server_factory):
     status, body = post_box(server.url, payload)
     assert status == 413
     assert body["error"] == "body_too_large"
+
+
+def test_post_negative_content_length_is_400(live_server_factory):
+    server = live_server_factory(max_body_bytes=64)
+    host, port = server.url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=2.0) as sock:
+        sock.sendall(
+            b"POST /v1/boxes HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n" + b"x" * 4096
+        )
+        # without the check the handler reads to EOF and never replies
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b'"malformed_request"' in reply
 
 
 def test_post_storage_failure_is_500_and_applies_nothing(tmp_path, live_server_factory):
