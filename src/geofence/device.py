@@ -121,23 +121,22 @@ def tick(state: DeviceState, policy: DevicePolicy, now: float, fix: GeoPoint) ->
     """Record a location fix and report which refresh trigger fired, if any.
 
     At most one reason is returned; when several hold simultaneously the
-    priority is FIRST_RUN, LEFT_COVERAGE, STALE_24H, MOVED. Movement and
-    staleness comparisons are strict: exactly at the threshold does not
+    priority is FIRST_RUN, LEFT_COVERAGE, STALE_24H, MOVED. Movement is
+    measured from the last refresh point, not the previous fix, so dense
+    fixes cannot creep past the threshold one short hop at a time. Movement
+    and staleness comparisons are strict: exactly at the threshold does not
     trigger.
     """
-    previous = state.last_location
     state.last_location = fix
     state.last_location_at = now
     if state.last_refresh_at is None:
         return RefreshReason.FIRST_RUN
-    if (
-        state.coverage_center is not None
-        and geo.haversine_distance(fix, state.coverage_center) > state.coverage_radius_m
-    ):
+    moved_m = None if state.coverage_center is None else geo.haversine_distance(fix, state.coverage_center)
+    if moved_m is not None and moved_m > state.coverage_radius_m:
         return RefreshReason.LEFT_COVERAGE
     if now - state.last_refresh_at > policy.stale_after:
         return RefreshReason.STALE_24H
-    if previous is not None and geo.haversine_distance(previous, fix) > policy.movement_threshold:
+    if moved_m is not None and moved_m > policy.movement_threshold:
         return RefreshReason.MOVED
     return None
 
@@ -170,10 +169,17 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
         or geo.haversine_distance(fix, state.coverage_center) > state.coverage_radius_m
     ):
         return CaptureDecision(Verdict.DENIED_NO_COVERAGE)
+    # meridian-arc lower bound, as in Registry.boxes_within_radius: a box
+    # wholly outside this latitude band is farther than permissible_distance
+    lat_cut = policy.permissible_distance / geo.METERS_PER_DEG * 1.000001 + 1e-9
+    lat_lo, lat_hi = fix.lat - lat_cut, fix.lat + lat_cut
     nearest_id: str | None = None
     nearest_d = 0.0
     for box in state.cache:
-        d = geo.distance_to_box(fix, box.extent)
+        extent = box.extent
+        if extent.min_lat > lat_hi or extent.max_lat < lat_lo:
+            continue
+        d = geo.distance_to_box(fix, extent)
         if d <= policy.permissible_distance and (
             nearest_id is None or (d, box.id) < (nearest_d, nearest_id)
         ):

@@ -247,6 +247,20 @@ class Registry:
                     hits.append(box)
             return hits
 
+    def encode_boxes(self, boxes: Iterable[RestrictedBox]) -> bytes:
+        """JSON array of the boxes' canonical records: their snapshot lines joined.
+
+        Disk and wire share one encoding. A box a concurrent merge removed
+        after it was queried is encoded afresh, so it is served as queried.
+        """
+        with self._lock:
+            current, lines = self._boxes, self._lines
+            parts = [
+                lines[box.id] if current.get(box.id) is box else snapshot.encode_record(box_record(box))
+                for box in boxes
+            ]
+        return b"[" + b",".join(parts) + b"]"
+
     # -- adds -------------------------------------------------------------
 
     def _overlapping_group(self, extent: BoxExtent) -> tuple[BoxExtent, dict[str, RestrictedBox]]:
@@ -394,6 +408,12 @@ class Registry:
                     raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
                 if box.id in boxes:
                     raise CorruptSnapshot(f"{source}: duplicate box id {box.id}")
+                extent, stored = box.extent, box.centroid
+                if (
+                    stored.lat != (extent.min_lat + extent.max_lat) / 2.0
+                    or stored.lon != (extent.min_lon + extent.max_lon) / 2.0
+                ):
+                    raise CorruptSnapshot(f"{source}: box {box.id} centroid is not the midpoint of its extent")
                 boxes[box.id] = box
                 lines[box.id] = snapshot.encode_record(box_record(box))
                 index.add(box.id, box.centroid)

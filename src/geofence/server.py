@@ -84,7 +84,9 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s - %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload: dict, close: bool = False) -> None:
-        data = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"), close)
+
+    def _send_body(self, status: int, data: bytes, close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -132,7 +134,8 @@ class _Handler(BaseHTTPRequestHandler):
             log.exception("unhandled error in GET /v1/boxes")
             self._send_error_json(500, "internal_error", "unexpected server error")
         else:
-            self._send_json(200, {"boxes": [box_record(b) for b in boxes], "count": len(boxes)})
+            records = self.server.registry.encode_boxes(boxes)
+            self._send_body(200, b'{"boxes":%b,"count":%d}' % (records, len(boxes)))
 
     # -- request handling -------------------------------------------------
 

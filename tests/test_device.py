@@ -136,6 +136,18 @@ def test_movement_boundary_is_strict():
     assert device.tick(state, policy, 600.0, c) is RefreshReason.MOVED
 
 
+def test_dense_fixes_trigger_moved_from_the_refresh_point():
+    # 100 m hops never exceed the 1-mile threshold between consecutive
+    # fixes; measured from the refresh point, step 17 (1.7 km) does
+    state = fresh_state()
+    for step in range(1, 404):
+        fix = geo.destination(HOME, 90.0, 100.0 * step)
+        reason = device.tick(state, POLICY, 60.0 * step, fix)
+        if reason is not None:
+            break
+    assert (step, reason) == (17, RefreshReason.MOVED)
+
+
 def test_staleness_boundary_is_strict():
     state = fresh_state(at=0.0)
     assert device.tick(state, POLICY, 86_400.0, HOME) is None
@@ -261,18 +273,85 @@ def test_gate_matches_brute_force_scan():
         fix = GeoPoint(
             lat=HOME.lat + rng.uniform(-0.25, 0.25), lon=HOME.lon + rng.uniform(-0.25, 0.25)
         )
-        decision = device.capture_request(state, POLICY, 600.0, fix)
-        within = {
-            b.id: geo.distance_to_box(fix, b.extent)
-            for b in boxes
-            if geo.distance_to_box(fix, b.extent) <= POLICY.permissible_distance
-        }
-        if within:
-            assert decision.verdict is Verdict.DENIED_RESTRICTED_AREA
-            best = min((d, i) for i, d in within.items())
-            assert (decision.distance_m, decision.box_id) == best
-        else:
-            assert decision.verdict is Verdict.ALLOWED
+        assert_gate_matches_brute_force(state, fix)
+
+
+def brute_force_gate(state, policy, fix):
+    """(distance, id) of the nearest box within reach by a plain scan, or None."""
+    within = [
+        (geo.distance_to_box(fix, b.extent), b.id)
+        for b in state.cache
+        if geo.distance_to_box(fix, b.extent) <= policy.permissible_distance
+    ]
+    return min(within) if within else None
+
+
+def assert_gate_matches_brute_force(state, fix):
+    decision = device.capture_request(state, POLICY, 600.0, fix)
+    best = brute_force_gate(state, POLICY, fix)
+    if best is None:
+        assert decision.verdict is Verdict.ALLOWED
+    else:
+        assert decision.verdict is Verdict.DENIED_RESTRICTED_AREA
+        assert (decision.distance_m, decision.box_id) == best
+    return decision
+
+
+@pytest.mark.parametrize("fix_lat", [-89.9995, -45.0, 0.0, 40.0, 89.999, 90.0])
+def test_gate_latitude_band_matches_brute_force_scan(fix_lat):
+    rng = random.Random(int(fix_lat * 1000))
+    reach_deg = POLICY.permissible_distance / geo.METERS_PER_DEG  # meridian arc
+    for trial in range(60):
+        fix = GeoPoint(lat=fix_lat, lon=rng.uniform(-179.0, 179.0))
+        boxes = []
+        # boxes whose near edge is exactly permissible_distance due north or
+        # south of the fix, as a strip and as a zero-area point
+        for tag, lat in (("n", fix.lat + reach_deg), ("s", fix.lat - reach_deg)):
+            if -90.0 <= lat <= 90.0:
+                far_lat = min(90.0, max(-90.0, lat + (0.01 if tag == "n" else -0.01)))
+                strip = BoxExtent(fix.lon - 0.01, min(lat, far_lat), fix.lon + 0.01, max(lat, far_lat))
+                boxes.append(cached_box(strip, f"{tag}-edge"))
+                boxes.append(cached_box(BoxExtent(fix.lon, lat, fix.lon, lat), f"{tag}-point"))
+        for i in range(rng.randint(0, 20)):
+            lat = min(90.0, max(-90.0, fix.lat + rng.uniform(-0.02, 0.02)))
+            lon = min(180.0, max(-180.0, fix.lon + rng.uniform(-0.02, 0.02)))
+            w = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.01)
+            h = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.01)
+            extent = BoxExtent(lon, lat, min(180.0, lon + w), min(90.0, lat + h))
+            boxes.append(cached_box(extent, f"r{trial}-{i}"))
+            if rng.random() < 0.2:  # an equal-distance twin: the lower id wins
+                boxes.append(cached_box(extent, f"q{trial}-{i}"))
+        rng.shuffle(boxes)
+        assert_gate_matches_brute_force(fresh_state(center=fix, boxes=boxes, radius=1e7), fix)
+
+
+def test_gate_breaks_equal_distance_ties_by_id():
+    edge = geo.destination(HOME, 90.0, 300.0)
+    extent = BoxExtent(edge.lon, HOME.lat - 0.01, edge.lon + 0.02, HOME.lat + 0.01)
+    state = fresh_state(boxes=[cached_box(extent, "b"), cached_box(extent, "a"), cached_box(extent, "c")])
+    decision = assert_gate_matches_brute_force(state, HOME)
+    assert decision.box_id == "a"
+
+
+def test_gate_measures_only_boxes_inside_the_latitude_band(monkeypatch):
+    near = cached_box(BoxExtent(HOME.lon - 0.01, HOME.lat - 0.001, HOME.lon + 0.01, HOME.lat + 0.001), "near")
+    # 0.01 deg of latitude is about 1.1 km: both are out of reach by latitude alone
+    far = [
+        cached_box(BoxExtent(HOME.lon - 1, HOME.lat + 0.01, HOME.lon + 1, HOME.lat + 0.02), "north"),
+        cached_box(BoxExtent(HOME.lon - 1, HOME.lat - 0.02, HOME.lon + 1, HOME.lat - 0.01), "south"),
+    ]
+    state = fresh_state(boxes=[near, *far])
+    measured = []
+    distance_to_box = geo.distance_to_box
+
+    def recording(p, extent):
+        measured.append(extent)
+        return distance_to_box(p, extent)
+
+    monkeypatch.setattr(geo, "distance_to_box", recording)
+    decision = device.capture_request(state, POLICY, 600.0, HOME)
+    assert decision.box_id == "near"
+    assert measured == [near.extent]
 
 
 def test_gate_is_deterministic():

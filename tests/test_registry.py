@@ -311,6 +311,35 @@ def test_corrupt_snapshot_load_keeps_previous_contents(tmp_path):
     assert reg.all_boxes() == [kept]
 
 
+def test_load_snapshot_rejects_a_centroid_off_its_extent_midpoint(tmp_path):
+    path = str(tmp_path / "shifted.snap")
+    good = add(Registry(), BoxExtent(5, 5, 6, 6)).stored
+    shifted = dict(box_record(good), centroid_lat=good.centroid.lat + 0.25)
+    other = box_record(add(Registry(), BoxExtent(8, 8, 9, 9)).stored)
+    snapshot.write_records(path, [other, shifted])
+    reg = Registry()
+    kept = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    with pytest.raises(CorruptSnapshot, match="centroid"):
+        reg.load_snapshot(path)
+    assert reg.all_boxes() == [kept]
+
+
+def test_encode_boxes_joins_the_snapshot_lines(tmp_path):
+    rng = random.Random(17)
+    path = str(tmp_path / "reg.snap")
+    reg = Registry(snapshot_path=path)
+    for i in range(60):
+        lon, lat = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        add(reg, BoxExtent(lon, lat, lon + rng.uniform(0, 0.2), lat + rng.uniform(0, 0.2)), reason=f"r{i}")
+    boxes = reg.boxes_within_radius(GeoPoint(0, 0), 100_000.0)
+    assert boxes
+    encoded = reg.encode_boxes(boxes)
+    assert json.loads(encoded) == [box_record(b) for b in boxes]
+    on_disk = {json.loads(line)["id"]: line + b"\n" for line in open(path, "rb").read().splitlines()[1:]}
+    assert encoded == b"[" + b",".join(on_disk[b.id] for b in boxes) + b"]"
+    assert reg.encode_boxes([]) == b"[]"
+
+
 def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):
     path = str(tmp_path / "reg.snap")
     reg = Registry(snapshot_path=path)

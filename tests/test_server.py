@@ -10,7 +10,7 @@ import pytest
 
 from geofence import geo
 from geofence.geo import BoxExtent, GeoPoint
-from geofence.registry import Registry
+from geofence.registry import Registry, box_record
 
 WIRE_FIELDS = {
     "id", "min_lon", "min_lat", "max_lon", "max_lat",
@@ -177,6 +177,62 @@ def test_get_returns_box_in_vicinity(live_server):
     assert status == 200
     assert body["count"] == 1 and len(body["boxes"]) == 1
     assert set(body["boxes"][0]) == WIRE_FIELDS
+
+
+def get_raw(url, query):
+    with urllib.request.urlopen(url + "/v1/boxes?" + query, timeout=10) as resp:
+        return resp.status, resp.read()
+
+
+def test_get_body_equals_the_canonical_records(live_server):
+    reg = live_server.registry
+    awkward = ['say "no"', "back\\slash", "two\nlines", "Zone d\u2019exclusion \u65e5\u672c", ""]
+    for i, text in enumerate(awkward):
+        lon = -74.0 + 0.05 * i
+        reg.add_box(BoxExtent(lon, 40.0, lon + 0.01, 40.01), added_by=text or "op", reason=text, now=7.5)
+    center = GeoPoint(40.0, -74.0)
+    status, raw = get_raw(live_server.url, f"lat={center.lat}&lon={center.lon}&radius_m=40233.6")
+    assert status == 200
+    expected = [box_record(b) for b in reg.boxes_within_radius(center, 40233.6)]
+    assert json.loads(raw) == {"boxes": expected, "count": len(awkward)}
+    # compact key-sorted records: the same bytes as the snapshot lines
+    for record in expected:
+        assert json.dumps(record, sort_keys=True, separators=(",", ":")).encode() in raw
+
+
+def test_get_serves_a_box_merged_away_after_the_query(live_server):
+    reg = live_server.registry
+    queried = reg.add_box(BoxExtent(-74.0, 40.0, -73.99, 40.01), "op", "old", now=1.0).stored
+    query = reg.boxes_within_radius
+
+    def query_then_merge(center, radius_m):
+        hits = query(center, radius_m)
+        reg.add_box(BoxExtent(-73.995, 40.005, -73.98, 40.02), "op", "merge", now=2.0)
+        return hits
+
+    reg.boxes_within_radius = query_then_merge
+    status, body = get_boxes(live_server.url, "lat=40&lon=-74&radius_m=10000")
+    assert status == 200
+    assert body == {"boxes": [box_record(queried)], "count": 1}
+    assert queried.id not in {b.id for b in reg.all_boxes()}
+
+
+def test_each_get_queries_the_registry_exactly_once(live_server, monkeypatch):
+    # the benchmark's tracer times GET queries by wrapping this method
+    calls = []
+    query = Registry.boxes_within_radius
+
+    def counting(self, center, radius_m):
+        calls.append((center, radius_m))
+        return query(self, center, radius_m)
+
+    monkeypatch.setattr(Registry, "boxes_within_radius", counting)
+    live_server.registry.add_box(BoxExtent(-74.0, 40.0, -73.99, 40.01), "op", "", now=1.0)
+    for query_string in ("lat=40&lon=-74&radius_m=10000", "lat=-40&lon=-74&radius_m=10000"):
+        calls.clear()
+        status, _ = get_boxes(live_server.url, query_string)
+        assert status == 200
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("query,code", [
