@@ -7,74 +7,4 @@ freshness. The CLI (``geofence``) runs the service, drives it, replays GPS
 trajectories, and benchmarks storage and latency.
 """
 
-from .device import (
-    CaptureDecision,
-    DevicePolicy,
-    DeviceState,
-    FetchFailed,
-    RefreshReason,
-    ServerRejected,
-    Verdict,
-    apply_refresh,
-    cache_load,
-    cache_save,
-    capture_request,
-    fetch_boxes,
-    tick,
-)
-from .geo import (
-    EARTH_RADIUS_M,
-    MILE_M,
-    AntimeridianUnsupported,
-    BoxExtent,
-    GeoPoint,
-    InvalidCoordinate,
-    boxes_overlap,
-    centroid,
-    contains,
-    distance_to_box,
-    haversine_distance,
-    normalize_box,
-)
-from .registry import AddOutcome, Registry, RestrictedBox
-from .server import ApiConfig, GeofenceServer, create_server
-from .snapshot import CorruptSnapshot, StorageFailure
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AddOutcome",
-    "AntimeridianUnsupported",
-    "ApiConfig",
-    "BoxExtent",
-    "CaptureDecision",
-    "CorruptSnapshot",
-    "DevicePolicy",
-    "DeviceState",
-    "EARTH_RADIUS_M",
-    "FetchFailed",
-    "GeofenceServer",
-    "GeoPoint",
-    "InvalidCoordinate",
-    "MILE_M",
-    "RefreshReason",
-    "Registry",
-    "RestrictedBox",
-    "ServerRejected",
-    "StorageFailure",
-    "Verdict",
-    "apply_refresh",
-    "boxes_overlap",
-    "cache_load",
-    "cache_save",
-    "capture_request",
-    "centroid",
-    "contains",
-    "create_server",
-    "distance_to_box",
-    "fetch_boxes",
-    "haversine_distance",
-    "normalize_box",
-    "tick",
-    "__version__",
-]

@@ -16,14 +16,12 @@ track query cost rather than payload streaming.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import shutil
 import statistics
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass
 
 from . import datasets, device, geo
@@ -121,40 +119,30 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _post_json(url: str, payload: dict, timeout: float = 30.0) -> None:
-    data = json.dumps(payload).encode("utf-8")
-    req = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}, method="POST"
-    )
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        resp.read()
+def _request(method: str, url: str, payload: dict | None = None) -> None:
+    status, _ = device.http_request(method, url, payload)
+    if not 200 <= status < 300:
+        raise BenchError(f"{method} {url} answered status {status}")
 
 
-def _get(url: str, timeout: float = 30.0) -> None:
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        resp.read()
-
-
-def _measure_fetches(base_url: str, rng: random.Random, center: GeoPoint,
-                     disc_radius_m: float, fetch_radius_m: float, ops: int) -> list[float]:
+def _measure_fetches(base_url: str, rng: random.Random, ops: int) -> list[float]:
     samples = []
     for _ in range(ops):
-        r = disc_radius_m * (rng.random() ** 0.5)
-        p = geo.destination(center, rng.uniform(0.0, 360.0), r)
-        url = f"{base_url}/v1/boxes?lat={p.lat}&lon={p.lon}&radius_m={fetch_radius_m}"
+        r = DEFAULT_DISC_RADIUS_M * (rng.random() ** 0.5)
+        p = geo.destination(DEFAULT_CENTER, rng.uniform(0.0, 360.0), r)
+        url = f"{base_url}/v1/boxes?lat={p.lat}&lon={p.lon}&radius_m={DEFAULT_FETCH_RADIUS_M}"
         t0 = time.perf_counter()
-        _get(url)
+        _request("GET", url)
         samples.append((time.perf_counter() - t0) * 1000.0)
     return samples
 
 
-def _measure_adds(base_url: str, rng: random.Random, center: GeoPoint,
-                  disc_radius_m: float, ops: int) -> list[float]:
+def _measure_adds(base_url: str, rng: random.Random, ops: int) -> list[float]:
     samples = []
     for _ in range(ops):
         # ring outside the dataset disc: keeps N stable during sampling
-        r = rng.uniform(disc_radius_m * 1.05, disc_radius_m * 1.45)
-        c = geo.destination(center, rng.uniform(0.0, 360.0), r)
+        r = rng.uniform(DEFAULT_DISC_RADIUS_M * 1.05, DEFAULT_DISC_RADIUS_M * 1.45)
+        c = geo.destination(DEFAULT_CENTER, rng.uniform(0.0, 360.0), r)
         half = rng.uniform(50.0, 250.0) / geo.METERS_PER_DEG
         payload = {
             "lon1": c.lon - half,
@@ -165,24 +153,23 @@ def _measure_adds(base_url: str, rng: random.Random, center: GeoPoint,
             "reason": "latency sample",
         }
         t0 = time.perf_counter()
-        _post_json(f"{base_url}/v1/boxes", payload)
+        _request("POST", f"{base_url}/v1/boxes", payload)
         samples.append((time.perf_counter() - t0) * 1000.0)
     return samples
 
 
-def _measure_startup(boxes, rng: random.Random, center: GeoPoint,
-                     disc_radius_m: float, reps: int) -> list[float]:
+def _measure_startup(boxes, rng: random.Random, reps: int) -> list[float]:
     policy = device.DevicePolicy()
     state = device.DeviceState(
         cache=boxes,
         last_refresh_at=0.0,
-        coverage_center=center,
-        coverage_radius_m=disc_radius_m * 2.0,
+        coverage_center=DEFAULT_CENTER,
+        coverage_radius_m=DEFAULT_DISC_RADIUS_M * 2.0,
     )
     samples = []
     for _ in range(reps):
-        r = disc_radius_m * (rng.random() ** 0.5)
-        fix = geo.destination(center, rng.uniform(0.0, 360.0), r)
+        r = DEFAULT_DISC_RADIUS_M * (rng.random() ** 0.5)
+        fix = geo.destination(DEFAULT_CENTER, rng.uniform(0.0, 360.0), r)
         t0 = time.perf_counter()
         device.capture_request(state, policy, now=1.0, fix=fix)
         samples.append((time.perf_counter() - t0) * 1000.0)
@@ -195,9 +182,6 @@ def run_bench(
     workdir: str,
     ops: int = DEFAULT_OPS,
     startup_reps: int = DEFAULT_STARTUP_REPS,
-    center: GeoPoint = DEFAULT_CENTER,
-    disc_radius_m: float = DEFAULT_DISC_RADIUS_M,
-    fetch_radius_m: float = DEFAULT_FETCH_RADIUS_M,
 ) -> BenchReport:
     """Run the full measurement matrix and return the report."""
     if not sizes or any(n <= 0 for n in sizes):
@@ -220,7 +204,7 @@ def run_bench(
         snapshot_path = os.path.join(workdir, f"bench_{n}.snap")
         audit_path = snapshot_path + ".audit"
         registry = Registry(snapshot_path=snapshot_path, audit_log_path=audit_path)
-        extents = datasets.generate_extents(n, center, disc_radius_m, rng)
+        extents = datasets.generate_extents(n, DEFAULT_CENTER, DEFAULT_DISC_RADIUS_M, rng)
         registry.bulk_load(extents, added_by="bench", reason="", now=0)
         bytes_per_box = os.path.getsize(snapshot_path) / n
         cache_at_n = registry.all_boxes()
@@ -233,15 +217,15 @@ def run_bench(
         )
         thread.start()
         try:
-            _get(f"{server.url}/v1/boxes?lat={center.lat}&lon={center.lon}&radius_m=1000")  # warmup
-            fetch_ms = _measure_fetches(server.url, rng, center, disc_radius_m,
-                                        fetch_radius_m, ops)
-            add_ms = _measure_adds(server.url, rng, center, disc_radius_m, ops)
+            warmup = f"{server.url}/v1/boxes?lat={DEFAULT_CENTER.lat}&lon={DEFAULT_CENTER.lon}&radius_m=1000"
+            _request("GET", warmup)
+            fetch_ms = _measure_fetches(server.url, rng, ops)
+            add_ms = _measure_adds(server.url, rng, ops)
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10.0)
-        startup_ms = _measure_startup(cache_at_n, rng, center, disc_radius_m, startup_reps)
+        startup_ms = _measure_startup(cache_at_n, rng, startup_reps)
         for path in (snapshot_path, audit_path):
             if os.path.exists(path):
                 os.remove(path)

@@ -6,7 +6,7 @@ Exit codes:
     0  success
     2  usage error (bad flags or arguments)
     3  the server rejected the request (HTTP 4xx)
-    4  the server failed (HTTP 5xx)
+    4  the server failed (HTTP 5xx, or a 2xx reply that is not JSON)
     5  network failure: server unreachable or timed out
     6  storage or I/O failure
     7  invalid input file (trajectory, dataset, config)
@@ -15,17 +15,15 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import random
 import sys
-import urllib.error
-import urllib.request
 
 from . import __version__, datasets, replay
 from .bench import BenchError, run_bench
 from .config import api_config_from_values, load_kv_config, policy_from_values
+from .device import FetchFailed, http_request
 from .geo import GeoPoint, InvalidCoordinate
 from .replay import TrajectoryError
 from .server import create_server
@@ -42,30 +40,18 @@ EXIT_BAD_INPUT = 7
 DEFAULT_SERVER_URL = "http://127.0.0.1:8764"
 
 
-class _NetworkFailure(Exception):
-    pass
-
-
-def _http_json(method: str, url: str, payload: dict | None = None, timeout: float = 30.0):
-    """Issue a request; returns (status, decoded JSON body) even for 4xx/5xx."""
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers, method=method)
+def _print_reply(status: int, raw: bytes) -> int:
+    """Print a service reply as indented JSON; return the exit code for it."""
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        raw = exc.read().decode("utf-8", errors="replace")
-        try:
-            body = json.loads(raw)
-        except ValueError:
-            body = {"error": "http_error", "message": raw}
-        return exc.code, body
-    except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
-        raise _NetworkFailure(str(exc)) from exc
+        body = json.loads(raw)
+    except ValueError:
+        text = raw.decode("utf-8", errors="replace")
+        if 200 <= status < 300:
+            print(f"server failed: status {status} reply is not JSON: {text[:200]!r}", file=sys.stderr)
+            return EXIT_SERVER_ERROR
+        body = {"error": "http_error", "message": text}
+    print(json.dumps(body, indent=2, sort_keys=True))
+    return _status_to_exit(status)
 
 
 def _status_to_exit(status: int) -> int:
@@ -126,9 +112,7 @@ def cmd_add(args: argparse.Namespace) -> int:
         "added_by": args.added_by,
         "reason": args.reason,
     }
-    status, body = _http_json("POST", args.server_url.rstrip("/") + "/v1/boxes", payload)
-    print(json.dumps(body, indent=2, sort_keys=True))
-    return _status_to_exit(status)
+    return _print_reply(*http_request("POST", args.server_url.rstrip("/") + "/v1/boxes", payload))
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
@@ -136,9 +120,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         args.server_url.rstrip("/")
         + f"/v1/boxes?lat={args.lat}&lon={args.lon}&radius_m={args.radius_m}"
     )
-    status, body = _http_json("GET", url)
-    print(json.dumps(body, indent=2, sort_keys=True))
-    return _status_to_exit(status)
+    return _print_reply(*http_request("GET", url))
 
 
 def cmd_genboxes(args: argparse.Namespace) -> int:
@@ -201,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted-box registry service, client tools, and experiment harness.",
         epilog=(
             "exit codes: 0 success, 2 usage, 3 rejected by server (4xx), "
-            "4 server error (5xx), 5 network failure, 6 storage/I-O failure, "
+            "4 server error (5xx or a non-JSON reply), 5 network failure, 6 storage/I-O failure, "
             "7 invalid input file"
         ),
     )
@@ -266,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NetworkFailure as exc:
+    except FetchFailed as exc:
         print(f"network failure: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except (TrajectoryError, CorruptSnapshot) as exc:

@@ -24,16 +24,13 @@ def generate_extents(
     center: GeoPoint,
     radius_m: float,
     rng: random.Random,
-    edge_range_m: tuple[float, float] = EDGE_RANGE_M,
 ) -> list[BoxExtent]:
     """Draw n boxes with centroids uniform in the disc around center."""
     if n <= 0:
         raise ValueError("n must be positive")
     if radius_m <= 0:
         raise ValueError("radius_m must be positive")
-    lo, hi = edge_range_m
-    if not (0 < lo <= hi):
-        raise ValueError("edge range must be positive and ordered")
+    lo, hi = EDGE_RANGE_M
     extents = []
     for _ in range(n):
         # sqrt keeps the area density uniform across the disc

@@ -2,9 +2,10 @@
 
 The state machine is deliberately pure: the host injects the clock and GPS
 fixes, so day- and month-scale behaviors run in tests without waiting. Only
-one location fix is ever kept; no trail accumulates on the device. The two
-I/O helpers are ``fetch_boxes`` (HTTP GET against the registry service) and
-the cache save/load pair.
+one location fix is ever kept; no trail accumulates on the device. The I/O
+helpers are ``fetch_boxes`` (HTTP GET against the registry service) and the
+cache save/load pair. ``http_request`` is the project's one HTTP client: the
+device, the CLI and the loopback bench all reach the service through it.
 
 Gate semantics fail closed. Without a successful refresh there is no
 coverage and captures are denied; past the lockout age the camera stays
@@ -189,6 +190,32 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
     return CaptureDecision(Verdict.ALLOWED)
 
 
+def http_request(
+    method: str, url: str, payload: dict | None = None, timeout: float = 30.0
+) -> tuple[int, bytes]:
+    """Send one request to the registry service; return (status, raw body).
+
+    A 4xx or 5xx reply is returned like any other. FetchFailed means no
+    reply arrived; a URL urllib cannot open raises ValueError. The payload,
+    when given, goes out as a JSON body.
+    """
+    data = None
+    headers = {}
+    if payload is not None:
+        data = json.dumps(payload).encode("utf-8")
+        headers["Content-Type"] = "application/json"
+    req = urllib.request.Request(url, data=data, headers=headers, method=method)
+    try:
+        try:
+            resp = urllib.request.urlopen(req, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            resp = exc  # an error reply still carries its status and body
+        with resp:
+            return resp.status, resp.read()
+    except (http.client.HTTPException, OSError) as exc:
+        raise FetchFailed(str(exc)) from exc
+
+
 def fetch_boxes(
     server_url: str,
     center: GeoPoint,
@@ -204,14 +231,13 @@ def fetch_boxes(
     query = urlencode({"lat": center.lat, "lon": center.lon, "radius_m": radius_m})
     url = server_url.rstrip("/") + "/v1/boxes?" + query
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
-            payload = json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        raise ServerRejected(exc.code, exc.reason or "") from exc
-    except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
+        status, body = http_request("GET", url, timeout=timeout)
+    except ValueError as exc:
         raise FetchFailed(str(exc)) from exc
+    if not 200 <= status < 300:
+        raise ServerRejected(status, body.decode("utf-8", errors="replace"))
     try:
-        records = payload["boxes"]
+        records = json.loads(body)["boxes"]
         return [box_from_record(r) for r in records]
     except (KeyError, TypeError, ValueError, geo.InvalidCoordinate) as exc:
         raise FetchFailed(f"cannot decode response: {exc}") from exc

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 EARTH_RADIUS_M = 6_371_000.0  # mean earth radius
 MILE_M = 1_609.344
 METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0  # meridian arc per degree
-MAX_DISTANCE_M = EARTH_RADIUS_M * math.pi  # antipodal pairs
 
 
 class InvalidCoordinate(ValueError):
@@ -99,7 +98,7 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in meters.
 
     Haversine formula on a sphere of radius EARTH_RADIUS_M. Symmetric,
-    zero only for coincident points, never exceeds MAX_DISTANCE_M.
+    zero only for coincident points, never exceeds EARTH_RADIUS_M * pi.
     """
     phi1 = math.radians(a.lat)
     phi2 = math.radians(b.lat)

@@ -23,7 +23,7 @@ from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
 from .snapshot import CorruptSnapshot, StorageFailure
 
-DEFAULT_CELL_SIZE_DEG = 0.25
+CELL_SIZE_DEG = 0.25  # grid cell edge of the centroid index
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,11 @@ class _GridIndex:
     exact geometry, so correctness never depends on cell size.
     """
 
-    def __init__(self, cell_size_deg: float) -> None:
-        self.cell_size = cell_size_deg
+    def __init__(self) -> None:
         self._cells: dict[tuple[int, int], set[str]] = {}
 
     def _cell_of(self, p: GeoPoint) -> tuple[int, int]:
-        return (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
+        return (math.floor(p.lat / CELL_SIZE_DEG), math.floor(p.lon / CELL_SIZE_DEG))
 
     def add(self, box_id: str, c: GeoPoint) -> None:
         self._cells.setdefault(self._cell_of(c), set()).add(box_id)
@@ -110,7 +109,7 @@ class _GridIndex:
                 del self._cells[cell]
 
     def merge(self, other: "_GridIndex") -> None:
-        """Add every entry of another index built with the same cell size."""
+        """Add every entry of another index."""
         for cell, ids in other._cells.items():
             self._cells.setdefault(cell, set()).update(ids)
 
@@ -129,10 +128,10 @@ class _GridIndex:
 
     def ids_in_rect(self, min_lon: float, min_lat: float, max_lon: float, max_lat: float) -> Iterator[str]:
         """Candidate ids whose centroid cell intersects the coordinate rect."""
-        i0 = math.floor(min_lat / self.cell_size)
-        i1 = math.floor(max_lat / self.cell_size)
-        j0 = math.floor(min_lon / self.cell_size)
-        j1 = math.floor(max_lon / self.cell_size)
+        i0 = math.floor(min_lat / CELL_SIZE_DEG)
+        i1 = math.floor(max_lat / CELL_SIZE_DEG)
+        j0 = math.floor(min_lon / CELL_SIZE_DEG)
+        j1 = math.floor(max_lon / CELL_SIZE_DEG)
         yield from self._ids_in_cell_rect(i0, i1, j0, j1)
 
     def ids_near_disc(self, center: GeoPoint, radius_m: float) -> Iterator[str]:
@@ -150,26 +149,26 @@ class _GridIndex:
             lon_pad = math.degrees(2.0 * math.asin(sin_half / cos_lim)) * 1.000001 + 1e-9
         lon_lo = center.lon - lon_pad
         lon_hi = center.lon + lon_pad
-        i0 = math.floor(lat_lo / self.cell_size)
-        i1 = math.floor(lat_hi / self.cell_size)
+        i0 = math.floor(lat_lo / CELL_SIZE_DEG)
+        i1 = math.floor(lat_hi / CELL_SIZE_DEG)
         if lon_hi - lon_lo >= 360.0:
             yield from self._ids_in_cell_rect(
-                i0, i1, math.floor(-180.0 / self.cell_size), math.floor(180.0 / self.cell_size)
+                i0, i1, math.floor(-180.0 / CELL_SIZE_DEG), math.floor(180.0 / CELL_SIZE_DEG)
             )
             return
         # a disc near the +/-180 meridian wraps: split into two rects
         if lon_lo < -180.0:
             yield from self._ids_in_cell_rect(
-                i0, i1, math.floor((lon_lo + 360.0) / self.cell_size), math.floor(180.0 / self.cell_size)
+                i0, i1, math.floor((lon_lo + 360.0) / CELL_SIZE_DEG), math.floor(180.0 / CELL_SIZE_DEG)
             )
             lon_lo = -180.0
         if lon_hi > 180.0:
             yield from self._ids_in_cell_rect(
-                i0, i1, math.floor(-180.0 / self.cell_size), math.floor((lon_hi - 360.0) / self.cell_size)
+                i0, i1, math.floor(-180.0 / CELL_SIZE_DEG), math.floor((lon_hi - 360.0) / CELL_SIZE_DEG)
             )
             lon_hi = 180.0
         yield from self._ids_in_cell_rect(
-            i0, i1, math.floor(lon_lo / self.cell_size), math.floor(lon_hi / self.cell_size)
+            i0, i1, math.floor(lon_lo / CELL_SIZE_DEG), math.floor(lon_hi / CELL_SIZE_DEG)
         )
 
 
@@ -177,9 +176,9 @@ class Registry:
     """The restricted-box store.
 
     Thread-safe behind two locks. A writer mutex serialises every mutator
-    (``add_box``, ``bulk_load``, ``load_snapshot``, ``snapshot_save``); the
-    writer does its slow work under it alone: overlap search, encode, audit
-    append and the snapshot write and fsync. A short state lock guards the
+    (``add_box``, ``bulk_load``, ``load_snapshot``); the writer does its
+    slow work under it alone: overlap search, encode, audit append and the
+    snapshot write and fsync. A short state lock guards the
     in-memory set: readers hold it for their query, and a writer takes it
     only to swap in a committed change. Only writer-mutex holders change the
     state, so a writer reads it without the state lock. Readers therefore
@@ -194,18 +193,15 @@ class Registry:
         self,
         snapshot_path: str | None = None,
         audit_log_path: str | None = None,
-        cell_size_deg: float = DEFAULT_CELL_SIZE_DEG,
         id_rng: random.Random | None = None,
     ) -> None:
-        if cell_size_deg <= 0:
-            raise ValueError("cell_size_deg must be positive")
         self.snapshot_path = snapshot_path
         self.audit_log_path = audit_log_path
         self._write_lock = threading.Lock()  # serialises mutators
         self._lock = threading.Lock()  # guards the state readers see
         self._boxes: dict[str, RestrictedBox] = {}
         self._lines: dict[str, bytes] = {}  # cached snapshot line per box
-        self._index = _GridIndex(cell_size_deg)
+        self._index = _GridIndex()
         self._id_rng = id_rng if id_rng is not None else random.Random()
         # conservative bound on stored box half-extents, in degrees; only
         # grows, which keeps the overlap candidate search a true superset
@@ -356,7 +352,7 @@ class Registry:
         with self._write_lock:
             boxes: dict[str, RestrictedBox] = {}
             lines: dict[str, bytes] = {}
-            index = _GridIndex(self._index.cell_size)
+            index = _GridIndex()
             for extent in extents:
                 box = RestrictedBox(
                     id=self._new_id(boxes),
@@ -383,14 +379,6 @@ class Registry:
 
     # -- persistence ------------------------------------------------------
 
-    def snapshot_save(self, path: str | None = None) -> None:
-        """Write the current box set to path (default: the bound path)."""
-        target = path or self.snapshot_path
-        if not target:
-            raise ValueError("no snapshot path given or bound")
-        with self._write_lock:
-            snapshot.write_snapshot(target, list(self._lines.values()))
-
     def load_snapshot(self, path: str | None = None) -> int:
         """Replace the registry contents with a snapshot's, returning the count."""
         source = path or self.snapshot_path
@@ -400,7 +388,7 @@ class Registry:
             records = snapshot.read_snapshot(source)
             boxes: dict[str, RestrictedBox] = {}
             lines: dict[str, bytes] = {}
-            index = _GridIndex(self._index.cell_size)
+            index = _GridIndex()
             for record in records:
                 try:
                     box = box_from_record(record)

@@ -24,6 +24,12 @@ def test_sizes_must_be_ascending_and_positive(tmp_path):
         run_bench([], seed=1, workdir=str(tmp_path))
 
 
+def test_non_2xx_reply_is_a_bench_error(live_server):
+    with pytest.raises(BenchError) as excinfo:
+        bench._request("GET", live_server.url + "/v1/boxes?lat=95&lon=0&radius_m=100")
+    assert "status 400" in str(excinfo.value)
+
+
 def test_insufficient_disk_is_reported_before_starting(tmp_path, monkeypatch):
     usage = collections.namedtuple("usage", "total used free")
 

@@ -1,6 +1,8 @@
 """CLI subcommands: in-process invocations, output shape, exit codes."""
 
+import http.server
 import json
+import threading
 
 import pytest
 
@@ -65,6 +67,38 @@ def test_unreachable_server_exits_network(capsys):
     code, _, err = run_cli(capsys, "--server-url", "http://127.0.0.1:9", "fetch", "0", "0", "100")
     assert code == cli.EXIT_NETWORK
     assert "network failure" in err
+
+
+class _HtmlHandler(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        body = b"<html>not the registry</html>"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def html_server():
+    """A server that answers every GET with 200 and an HTML page."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), _HtmlHandler)
+    thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10.0)
+
+
+def test_2xx_reply_that_is_not_json_exits_server_error(capsys, html_server):
+    code, out, err = run_cli(capsys, "--server-url", html_server, "fetch", "0", "0", "100")
+    assert code == cli.EXIT_SERVER_ERROR
+    assert out == ""
+    assert "not JSON" in err and "<html>" in err
 
 
 def test_unparseable_number_is_usage_error(capsys):

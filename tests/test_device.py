@@ -1,5 +1,9 @@
 """Device state machine: refresh triggers, capture gate, cache persistence."""
 
+import ast
+import glob
+import json
+import os
 import random
 
 import pytest
@@ -384,6 +388,45 @@ def test_fetch_boxes_rejection_carries_status(live_server):
     with pytest.raises(ServerRejected) as excinfo:
         device.fetch_boxes(live_server.url, HOME, -5.0)
     assert excinfo.value.status == 400
+
+
+# -- http_request ----------------------------------------------------------------
+
+
+def test_http_request_returns_error_replies_with_their_body(live_server):
+    status, body = device.http_request("GET", live_server.url + "/v1/boxes?lat=95&lon=0&radius_m=100")
+    assert status == 400
+    assert json.loads(body)["error"] == "invalid_coordinate"
+    status, body = device.http_request("GET", live_server.url + "/nowhere")
+    assert status == 404
+
+
+_HTTP_CLIENT_MODULES = {"urllib.request", "urllib.error", "http.client"}
+
+
+def _http_client_imports(path):
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name for name in names if name in _HTTP_CLIENT_MODULES)
+    return found
+
+
+def test_only_the_device_module_imports_an_http_client():
+    package_dir = os.path.dirname(device.__file__)
+    importers = {
+        os.path.basename(path): _http_client_imports(path)
+        for path in glob.glob(os.path.join(package_dir, "*.py"))
+    }
+    assert importers.pop("device.py") == _HTTP_CLIENT_MODULES
+    assert {name: mods for name, mods in importers.items() if mods} == {}
 
 
 # -- cache persistence -------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_count_and_all_boxes():
 
 def test_snapshot_round_trip_empty(tmp_path):
     path = str(tmp_path / "reg.snap")
-    Registry().snapshot_save(path)
+    snapshot.write_snapshot(path, [])
     reg = Registry()
     assert reg.load_snapshot(path) == 0
     assert reg.count() == 0
@@ -239,7 +239,7 @@ def test_snapshot_round_trip_empty(tmp_path):
 def test_snapshot_round_trip_field_by_field(tmp_path):
     rng = random.Random(99)
     path = str(tmp_path / "reg.snap")
-    reg = Registry()
+    reg = Registry(snapshot_path=path)
     for i in range(50):
         lon = rng.uniform(-170, 160)
         lat = rng.uniform(-80, 75)
@@ -249,7 +249,6 @@ def test_snapshot_round_trip_field_by_field(tmp_path):
             reason=f"reason {i}",
             now=1_700_000_000.0 + i,
         )
-    reg.snapshot_save(path)
     loaded = Registry()
     assert loaded.load_snapshot(path) == reg.count()
     original = {b.id: b for b in reg.all_boxes()}
@@ -259,9 +258,8 @@ def test_snapshot_round_trip_field_by_field(tmp_path):
 
 def test_snapshot_truncation_reported_corrupt(tmp_path):
     path = str(tmp_path / "reg.snap")
-    reg = Registry()
+    reg = Registry(snapshot_path=path)
     add(reg, BoxExtent(0, 0, 1, 1))
-    reg.snapshot_save(path)
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[:-1])
     with pytest.raises(CorruptSnapshot):
