@@ -39,7 +39,14 @@ _BYTES_PER_BOX_ESTIMATE = 400
 
 
 class BenchError(RuntimeError):
-    """The benchmark cannot run as requested."""
+    """The benchmark cannot run as requested, or its server answered non-2xx.
+
+    ``status`` holds that reply's HTTP status, and is None otherwise.
+    """
+
+    def __init__(self, message: str, status: int | None = None) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -122,7 +129,7 @@ class BenchReport:
 def _request(method: str, url: str, payload: dict | None = None) -> None:
     status, _ = device.http_request(method, url, payload)
     if not 200 <= status < 300:
-        raise BenchError(f"{method} {url} answered status {status}")
+        raise BenchError(f"{method} {url} answered status {status}", status)
 
 
 def _measure_fetches(base_url: str, rng: random.Random, ops: int) -> list[float]:

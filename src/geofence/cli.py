@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except BenchError as exc:
         print(f"bench error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if exc.status is None else _status_to_exit(exc.status)
     except (InvalidCoordinate, ValueError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -69,7 +69,8 @@ def write_dataset(path: str, extents: Iterable[BoxExtent]) -> int:
 def read_dataset(path: str) -> list[BoxExtent]:
     """Load a dataset file; every extent is re-validated on the way in."""
     extents = []
-    for record in snapshot.read_snapshot(path):
+    for i, line in enumerate(snapshot.read_snapshot(path)):
+        record = snapshot.parse_line(path, i, line)
         try:
             extents.append(
                 BoxExtent(

@@ -274,7 +274,7 @@ def _optional_point(lat, lon, what: str) -> GeoPoint | None:
 
 def cache_load(path: str) -> DeviceState:
     """Load a device cache file written by cache_save."""
-    records = snapshot.read_snapshot(path)
+    records = [snapshot.parse_line(path, i, line) for i, line in enumerate(snapshot.read_snapshot(path))]
     if not records or records[0].get("kind") != _STATE_KIND:
         raise CorruptSnapshot(f"{path}: missing device state header record")
     head = records[0]

@@ -28,7 +28,7 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> None:
         raise InvalidCoordinate(f"{name} must be a finite value in [{lo}, {hi}], got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A position: latitude in [-90, 90], longitude in [-180, 180], degrees."""
 
@@ -40,7 +40,7 @@ class GeoPoint:
         _check_range("lon", self.lon, -180.0, 180.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxExtent:
     """A normalized axis-aligned box: [min_lon, min_lat, max_lon, max_lat].
 

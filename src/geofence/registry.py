@@ -26,7 +26,7 @@ from .snapshot import CorruptSnapshot, StorageFailure
 CELL_SIZE_DEG = 0.25  # grid cell edge of the centroid index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictedBox:
     """A persisted restriction: extent plus identity and audit fields."""
 
@@ -38,7 +38,7 @@ class RestrictedBox:
     created_at: float  # UTC seconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddOutcome:
     """Result of an add: the box as stored and any boxes it absorbed."""
 
@@ -60,6 +60,31 @@ def box_record(box: RestrictedBox) -> dict:
         "reason": box.reason,
         "created_at": box.created_at,
     }
+
+
+# box_record's keys in sorted order, and the type of each value
+_RECORD_KEYS = (
+    "added_by", "centroid_lat", "centroid_lon", "created_at", "id",
+    "max_lat", "max_lon", "min_lat", "min_lon", "reason",
+)
+_RECORD_TYPES = (str, float, float, float, str, float, float, float, float, str)
+
+
+def _is_canonical(line: bytes, record: dict) -> bool:
+    """Whether a snapshot line can be served as is for the box it parsed to.
+
+    The keys, their order and the value types make the record equal to
+    ``box_record`` of the box built from it, so the line parses equal to
+    its canonical encoding; the last two checks reject stray whitespace
+    and a missing final newline, which the snapshot join relies on.
+    """
+    return (
+        tuple(record) == _RECORD_KEYS
+        and tuple(map(type, record.values())) == _RECORD_TYPES
+        and line.endswith(b"}\n")
+        and line.count(b" ")
+        == record["id"].count(" ") + record["added_by"].count(" ") + record["reason"].count(" ")
+    )
 
 
 def box_from_record(record: dict) -> RestrictedBox:
@@ -385,11 +410,12 @@ class Registry:
         if not source:
             raise ValueError("no snapshot path given or bound")
         with self._write_lock:
-            records = snapshot.read_snapshot(source)
             boxes: dict[str, RestrictedBox] = {}
             lines: dict[str, bytes] = {}
             index = _GridIndex()
-            for record in records:
+            # one record at a time: only the lines and the boxes stay alive
+            for i, line in enumerate(snapshot.read_snapshot(source)):
+                record = snapshot.parse_line(source, i, line)
                 try:
                     box = box_from_record(record)
                 except (ValueError, geo.InvalidCoordinate) as exc:
@@ -403,7 +429,7 @@ class Registry:
                 ):
                     raise CorruptSnapshot(f"{source}: box {box.id} centroid is not the midpoint of its extent")
                 boxes[box.id] = box
-                lines[box.id] = snapshot.encode_record(box_record(box))
+                lines[box.id] = line if _is_canonical(line, record) else snapshot.encode_record(box_record(box))
                 index.add(box.id, box.centroid)
             half_w, half_h = _half_extent_bound(box.extent for box in boxes.values())
             with self._lock:

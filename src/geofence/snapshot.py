@@ -62,18 +62,21 @@ def write_records(path: str, records: Iterable[dict]) -> None:
     write_snapshot(path, [encode_record(r) for r in records])
 
 
-def read_snapshot(path: str) -> list[dict]:
-    """Load and verify a snapshot, returning its records in file order."""
+def read_snapshot(path: str) -> list[bytes]:
+    """Load and verify a snapshot, returning its record lines in file order.
+
+    Each line keeps its line ending; ``parse_line`` turns one into a record.
+    """
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            header = f.readline()
+            body = f.read()
     except OSError as exc:
         raise StorageFailure(f"cannot read snapshot {path}: {exc}") from exc
 
-    newline = raw.find(b"\n")
-    if newline < 0:
+    if not header.endswith(b"\n"):
         raise CorruptSnapshot(f"{path}: missing header line")
-    fields = raw[:newline].decode("ascii", errors="replace").split(" ")
+    fields = header[:-1].decode("ascii", errors="replace").split(" ")
     if len(fields) != 4 or fields[0] != MAGIC:
         raise CorruptSnapshot(f"{path}: bad magic or malformed header")
     try:
@@ -85,19 +88,20 @@ def read_snapshot(path: str) -> list[dict]:
     if version != FORMAT_VERSION:
         raise CorruptSnapshot(f"{path}: unsupported format version {version}")
 
-    body = raw[newline + 1:]
     if zlib.crc32(body) != crc_expect:
         raise CorruptSnapshot(f"{path}: checksum mismatch")
-    lines = body.splitlines()
+    lines = body.splitlines(keepends=True)
     if len(lines) != count:
         raise CorruptSnapshot(f"{path}: header claims {count} records, found {len(lines)}")
-    records = []
-    for i, line in enumerate(lines, start=2):
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise CorruptSnapshot(f"{path}: invalid JSON on line {i}") from exc
-        if not isinstance(record, dict):
-            raise CorruptSnapshot(f"{path}: record on line {i} is not an object")
-        records.append(record)
-    return records
+    return lines
+
+
+def parse_line(path: str, index: int, line: bytes) -> dict:
+    """Parse the record at index (from 0) of path's lines; errors name its file line."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise CorruptSnapshot(f"{path}: invalid JSON on line {index + 2}") from exc
+    if not isinstance(record, dict):
+        raise CorruptSnapshot(f"{path}: record on line {index + 2} is not an object")
+    return record

@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
-from geofence import cli
+from geofence import bench, cli
 from geofence.config import api_config_from_values, load_kv_config, policy_from_values
 from geofence.geo import BoxExtent
+from geofence.registry import Registry
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,37 @@ def test_unparseable_number_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["fetch", "abc", "0", "100"])
     assert excinfo.value.code == 2
+
+
+# -- bench ---------------------------------------------------------------------
+
+
+def _failing_query(self, center, radius_m):
+    raise RuntimeError("simulated query failure")
+
+
+@pytest.mark.parametrize(
+    "patch, expected",
+    [
+        (lambda mp: mp.setattr(bench, "DEFAULT_FETCH_RADIUS_M", -1.0), cli.EXIT_REJECTED),
+        (lambda mp: mp.setattr(Registry, "boxes_within_radius", _failing_query), cli.EXIT_SERVER_ERROR),
+    ],
+    ids=["4xx", "5xx"],
+)
+def test_bench_maps_a_non_2xx_reply_to_its_status_exit(tmp_path, capsys, monkeypatch, patch, expected):
+    patch(monkeypatch)
+    code, _, err = run_cli(
+        capsys, "bench", "--sizes", "20", "--ops", "2", "--startup-reps", "1",
+        "--workdir", str(tmp_path / "work"),
+    )
+    assert code == expected
+    assert "answered status" in err
+
+
+def test_bench_argument_error_stays_a_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "bench", "--sizes", "100,50", "--workdir", str(tmp_path))
+    assert code == cli.EXIT_USAGE
+    assert "ascending" in err
 
 
 # -- genboxes ------------------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from geofence import device, geo
+from geofence import device, geo, snapshot
 from geofence.device import (
     DevicePolicy,
     DeviceState,
@@ -458,6 +458,20 @@ def test_cache_truncation_detected(tmp_path):
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[:-1])
     with pytest.raises(CorruptSnapshot):
+        device.cache_load(path)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(b"{not json\n", "invalid JSON on line 3"), (b"[1, 2]\n", "record on line 3 is not an object")],
+    ids=["not JSON", "JSON array"],
+)
+def test_cache_load_names_the_bad_line(tmp_path, bad, message):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(fresh_state(boxes=[cached_box(BoxExtent(1.0, 1.0, 2.0, 2.0), "a")]), path)
+    head = open(path, "rb").read().split(b"\n")[1] + b"\n"
+    snapshot.write_snapshot(path, [head, bad])
+    with pytest.raises(CorruptSnapshot, match=message):
         device.cache_load(path)
 
 

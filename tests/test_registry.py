@@ -3,10 +3,11 @@
 import json
 import random
 import threading
+import tracemalloc
 
 import pytest
 
-from geofence import geo, snapshot
+from geofence import datasets, device, geo, snapshot
 from geofence.geo import MILE_M, BoxExtent, GeoPoint
 from geofence.registry import Registry, box_from_record, box_record
 from geofence.snapshot import CorruptSnapshot, StorageFailure
@@ -336,6 +337,114 @@ def test_encode_boxes_joins_the_snapshot_lines(tmp_path):
     on_disk = {json.loads(line)["id"]: line + b"\n" for line in open(path, "rb").read().splitlines()[1:]}
     assert encoded == b"[" + b",".join(on_disk[b.id] for b in boxes) + b"]"
     assert reg.encode_boxes([]) == b"[]"
+
+
+# -- loading a snapshot: which lines are kept as they are ---------------------
+
+
+def _stored_line(extent=BoxExtent(5.0, 5.0, 6.0, 6.0)):
+    box = add(Registry(), extent, reason="test").stored
+    return box, snapshot.encode_record(box_record(box))
+
+
+def test_load_keeps_a_canonical_line_byte_for_byte(tmp_path, live_server_factory):
+    path = str(tmp_path / "reg.snap")
+    box, line = _stored_line()
+    # parses to the same record, but this encoder would spell it "test"
+    own = line.replace(b'"reason":"test"', b'"reason":"t\\u0065st"')
+    assert own != line and json.loads(own) == box_record(box)
+    snapshot.write_snapshot(path, [own])
+    reg = Registry()
+    assert reg.load_snapshot(path) == 1
+    assert reg.encode_boxes(reg.all_boxes()) == b"[" + own + b"]"
+    server = live_server_factory(registry=reg)
+    query = f"lat={box.centroid.lat}&lon={box.centroid.lon}&radius_m=1000"
+    status, body = device.http_request("GET", f"{server.url}/v1/boxes?{query}")
+    assert status == 200
+    assert own in body
+    assert json.loads(body)["boxes"] == [box_record(box)]
+
+
+def _compact(record, sort_keys=True):
+    return json.dumps(record, sort_keys=sort_keys, separators=(",", ":"))
+
+
+# each differs from the canonical line in one way, and parses to the same box
+_REWORDINGS = {
+    "int coordinates": lambda r: _compact(dict(r, min_lon=5, min_lat=5, max_lon=6, max_lat=6)),
+    "int created_at": lambda r: _compact(dict(r, created_at=1000)),
+    "extra key": lambda r: _compact(dict(r, note="extra")),
+    "unsorted keys": lambda r: _compact(dict(reversed(r.items())), sort_keys=False),
+    "extra whitespace": lambda r: json.dumps(r, sort_keys=True),
+}
+
+
+@pytest.mark.parametrize("how", list(_REWORDINGS))
+def test_load_re_encodes_a_line_that_is_not_canonical(tmp_path, how):
+    path = str(tmp_path / "reg.snap")
+    box, _ = _stored_line()
+    foreign = _REWORDINGS[how](box_record(box)).encode() + b"\n"
+    snapshot.write_snapshot(path, [foreign])
+    reg = Registry()
+    assert reg.load_snapshot(path) == 1
+    [loaded] = reg.all_boxes()
+    encoded = reg.encode_boxes([loaded])
+    assert encoded == b"[" + snapshot.encode_record(box_record(loaded)) + b"]"
+    assert json.loads(encoded) == [box_record(loaded)]
+    assert {k: v for k, v in json.loads(foreign).items() if k != "note"} == box_record(loaded)
+
+
+def test_snapshot_whose_last_line_has_no_newline_survives_the_next_add(tmp_path):
+    path = str(tmp_path / "reg.snap")
+    first, first_line = _stored_line(BoxExtent(0.0, 0.0, 1.0, 1.0))
+    last, last_line = _stored_line()
+    snapshot.write_snapshot(path, [first_line, last_line.rstrip(b"\n")])
+    reg = Registry(snapshot_path=path)
+    assert reg.load_snapshot() == 2
+    added = add(reg, BoxExtent(10, 10, 11, 11)).stored
+    reloaded = Registry()
+    assert reloaded.load_snapshot(path) == 3
+    assert {b.id: b for b in reloaded.all_boxes()} == {b.id: b for b in (first, last, added)}
+    assert reg.encode_boxes([last]) == b"[" + last_line + b"]"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(b"{not json\n", "invalid JSON on line 3"), (b"[1, 2]\n", "record on line 3 is not an object")],
+    ids=["not JSON", "JSON array"],
+)
+def test_load_names_the_bad_line_and_keeps_previous_contents(tmp_path, bad, message):
+    path = str(tmp_path / "reg.snap")
+    _, line = _stored_line()
+    snapshot.write_snapshot(path, [line, bad])
+    reg = Registry()
+    kept = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    with pytest.raises(CorruptSnapshot, match=message):
+        reg.load_snapshot(path)
+    assert reg.all_boxes() == [kept]
+
+
+def test_load_snapshot_peak_memory_stays_near_what_it_keeps(tmp_path):
+    path = str(tmp_path / "reg.snap")
+    extents = datasets.generate_extents(5_000, GeoPoint(40.0, -74.5), 50 * MILE_M, random.Random(5))
+    Registry(snapshot_path=path, id_rng=random.Random(5)).bulk_load(
+        extents, added_by="gen", reason="memory check", now=0.0
+    )
+    reg = Registry()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert reg.load_snapshot(path) == 5_000
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * (after - before)
+
+
+def test_box_classes_have_no_instance_dict():
+    outcome = add(Registry(), BoxExtent(0, 0, 1, 1))
+    for value in (outcome, outcome.stored, outcome.stored.extent, outcome.stored.centroid):
+        assert not hasattr(value, "__dict__"), type(value).__name__
 
 
 def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):

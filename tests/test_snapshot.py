@@ -1,22 +1,30 @@
 """Snapshot container: round trips, atomicity, and corruption detection."""
 
 import os
+import zlib
 
 import pytest
 
 from geofence.snapshot import (
     CorruptSnapshot,
     StorageFailure,
+    encode_record,
+    parse_line,
     read_snapshot,
     write_records,
 )
+
+
+def read_records(path):
+    return [parse_line(path, i, line) for i, line in enumerate(read_snapshot(path))]
 
 
 def test_round_trip_preserves_records(tmp_path):
     path = str(tmp_path / "store.snap")
     records = [{"id": "a", "x": 1.5}, {"id": "b", "x": -2.25, "note": "hello"}]
     write_records(path, records)
-    assert read_snapshot(path) == records
+    assert read_snapshot(path) == [encode_record(r) for r in records]
+    assert read_records(path) == records
 
 
 def test_empty_snapshot_round_trips(tmp_path):
@@ -29,7 +37,7 @@ def test_floats_round_trip_exactly(tmp_path):
     path = str(tmp_path / "floats.snap")
     values = [0.1 + 0.2, 1e-17, -179.99999999999997, 1234567890.123456]
     write_records(path, [{"v": v} for v in values])
-    assert [r["v"] for r in read_snapshot(path)] == values
+    assert [r["v"] for r in read_records(path)] == values
 
 
 def test_truncation_by_one_byte_detected(tmp_path):
@@ -93,6 +101,15 @@ def test_failed_write_leaves_previous_file_intact(tmp_path, monkeypatch):
     with pytest.raises(StorageFailure):
         write_records(path, [{"id": "replacement"}])
     monkeypatch.undo()
-    assert read_snapshot(path) == [{"id": "original"}]
+    assert read_records(path) == [{"id": "original"}]
     # no temp litter left behind
     assert [p for p in os.listdir(tmp_path) if p != "store.snap"] == []
+
+
+def test_last_line_without_newline_is_returned_as_it_is(tmp_path):
+    path = str(tmp_path / "store.snap")
+    body = b'{"id":1}\n{"id":2}'
+    open(path, "wb").write(b"GFG1 1 2 %08x\n" % zlib.crc32(body) + body)
+    assert read_snapshot(path) == [b'{"id":1}\n', b'{"id":2}']
+    assert read_records(path) == [{"id": 1}, {"id": 2}]
+
