@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import http.client
 import json
+import math
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -93,8 +94,8 @@ class DevicePolicy:
             "lockout_after",
             "permissible_distance",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.lockout_after <= self.stale_after:
             raise ValueError("lockout_after must exceed stale_after")
         if self.fetch_radius <= self.movement_threshold:
@@ -272,6 +273,14 @@ def _optional_point(lat, lon, what: str) -> GeoPoint | None:
     return GeoPoint(lat=lat, lon=lon)
 
 
+def _header_number(head: dict, key: str, default: float | None = None) -> float | None:
+    """head[key] (default when absent), which must be None or a finite int or float."""
+    value = head.get(key, default)
+    if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):
+        raise CorruptSnapshot(f"device cache {key} is not a finite number: {value!r}")
+    return value
+
+
 def cache_load(path: str) -> DeviceState:
     """Load a device cache file written by cache_save."""
     records = [snapshot.parse_line(path, i, line) for i, line in enumerate(snapshot.read_snapshot(path))]
@@ -279,16 +288,19 @@ def cache_load(path: str) -> DeviceState:
         raise CorruptSnapshot(f"{path}: missing device state header record")
     head = records[0]
     try:
+        radius = _header_number(head, "coverage_radius_m", 0.0)
+        if radius is None or radius < 0:
+            raise CorruptSnapshot(f"device cache coverage_radius_m is {radius!r}, not a distance")
         state = DeviceState(
             last_location=_optional_point(
                 head.get("last_location_lat"), head.get("last_location_lon"), "last_location"
             ),
-            last_location_at=head.get("last_location_at"),
-            last_refresh_at=head.get("last_refresh_at"),
+            last_location_at=_header_number(head, "last_location_at"),
+            last_refresh_at=_header_number(head, "last_refresh_at"),
             coverage_center=_optional_point(
                 head.get("coverage_center_lat"), head.get("coverage_center_lon"), "coverage_center"
             ),
-            coverage_radius_m=float(head.get("coverage_radius_m", 0.0)),
+            coverage_radius_m=float(radius),
         )
         state.cache = [box_from_record(r) for r in records[1:]]
     except (TypeError, ValueError, geo.InvalidCoordinate) as exc:

@@ -4,10 +4,12 @@ Adding a box that overlaps existing ones replaces the whole overlapping
 group with a single encompassing box, applied transitively until no overlap
 remains, so the stored set is always pairwise disjoint. Vicinity queries
 return every box whose centroid lies within a great-circle radius of a
-point; a uniform lat/lon grid over centroids prunes candidates but never
-changes results. When bound to a snapshot path, every add is persisted
-atomically before it returns, and boxes absorbed by merges are preserved in
-an append-only audit log.
+point. The index is one list of the boxes sorted by centroid latitude: a
+query or an overlap search bisects a latitude band of it and rejects by
+longitude before the exact test, so it prunes candidates but never changes
+results. When bound to a snapshot path, every add is persisted atomically
+before it returns, and boxes absorbed by merges are preserved in an
+append-only audit log.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import math
 import os
 import random
 import threading
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from operator import attrgetter
+from typing import Container, Iterable
 
 from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
 from .snapshot import CorruptSnapshot, StorageFailure
-
-CELL_SIZE_DEG = 0.25  # grid cell edge of the centroid index
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,92 +111,7 @@ def box_from_record(record: dict) -> RestrictedBox:
         raise ValueError(f"box record has a non-numeric field: {exc}") from exc
 
 
-class _GridIndex:
-    """Uniform lat/lon grid over box centroids.
-
-    Purely a candidate prefilter: callers always re-check candidates with
-    exact geometry, so correctness never depends on cell size.
-    """
-
-    def __init__(self) -> None:
-        self._cells: dict[tuple[int, int], set[str]] = {}
-
-    def _cell_of(self, p: GeoPoint) -> tuple[int, int]:
-        return (math.floor(p.lat / CELL_SIZE_DEG), math.floor(p.lon / CELL_SIZE_DEG))
-
-    def add(self, box_id: str, c: GeoPoint) -> None:
-        self._cells.setdefault(self._cell_of(c), set()).add(box_id)
-
-    def discard(self, box_id: str, c: GeoPoint) -> None:
-        cell = self._cell_of(c)
-        ids = self._cells.get(cell)
-        if ids is not None:
-            ids.discard(box_id)
-            if not ids:
-                del self._cells[cell]
-
-    def merge(self, other: "_GridIndex") -> None:
-        """Add every entry of another index."""
-        for cell, ids in other._cells.items():
-            self._cells.setdefault(cell, set()).update(ids)
-
-    def _ids_in_cell_rect(self, i0: int, i1: int, j0: int, j1: int) -> Iterator[str]:
-        if (i1 - i0 + 1) * (j1 - j0 + 1) > len(self._cells):
-            # sparse store: walking populated cells is cheaper than the rect
-            for (ci, cj), ids in self._cells.items():
-                if i0 <= ci <= i1 and j0 <= cj <= j1:
-                    yield from ids
-            return
-        for ci in range(i0, i1 + 1):
-            for cj in range(j0, j1 + 1):
-                ids = self._cells.get((ci, cj))
-                if ids:
-                    yield from ids
-
-    def ids_in_rect(self, min_lon: float, min_lat: float, max_lon: float, max_lat: float) -> Iterator[str]:
-        """Candidate ids whose centroid cell intersects the coordinate rect."""
-        i0 = math.floor(min_lat / CELL_SIZE_DEG)
-        i1 = math.floor(max_lat / CELL_SIZE_DEG)
-        j0 = math.floor(min_lon / CELL_SIZE_DEG)
-        j1 = math.floor(max_lon / CELL_SIZE_DEG)
-        yield from self._ids_in_cell_rect(i0, i1, j0, j1)
-
-    def ids_near_disc(self, center: GeoPoint, radius_m: float) -> Iterator[str]:
-        """Candidate ids whose centroid could lie within radius_m of center."""
-        lat_pad = radius_m / geo.METERS_PER_DEG * 1.000001 + 1e-9
-        lat_lo = max(-90.0, center.lat - lat_pad)
-        lat_hi = min(90.0, center.lat + lat_pad)
-        # widest possible longitude gap at distance radius_m, reached at the
-        # narrowest parallel of the band: sin(gap/2) = sin(r/2R) / cos(lat)
-        cos_lim = math.cos(math.radians(min(90.0, max(abs(lat_lo), abs(lat_hi)))))
-        sin_half = math.sin(min(math.pi, radius_m / geo.EARTH_RADIUS_M) / 2.0)
-        if cos_lim <= sin_half:
-            lon_pad = 180.0
-        else:
-            lon_pad = math.degrees(2.0 * math.asin(sin_half / cos_lim)) * 1.000001 + 1e-9
-        lon_lo = center.lon - lon_pad
-        lon_hi = center.lon + lon_pad
-        i0 = math.floor(lat_lo / CELL_SIZE_DEG)
-        i1 = math.floor(lat_hi / CELL_SIZE_DEG)
-        if lon_hi - lon_lo >= 360.0:
-            yield from self._ids_in_cell_rect(
-                i0, i1, math.floor(-180.0 / CELL_SIZE_DEG), math.floor(180.0 / CELL_SIZE_DEG)
-            )
-            return
-        # a disc near the +/-180 meridian wraps: split into two rects
-        if lon_lo < -180.0:
-            yield from self._ids_in_cell_rect(
-                i0, i1, math.floor((lon_lo + 360.0) / CELL_SIZE_DEG), math.floor(180.0 / CELL_SIZE_DEG)
-            )
-            lon_lo = -180.0
-        if lon_hi > 180.0:
-            yield from self._ids_in_cell_rect(
-                i0, i1, math.floor(-180.0 / CELL_SIZE_DEG), math.floor((lon_hi - 360.0) / CELL_SIZE_DEG)
-            )
-            lon_hi = 180.0
-        yield from self._ids_in_cell_rect(
-            i0, i1, math.floor(lon_lo / CELL_SIZE_DEG), math.floor(lon_hi / CELL_SIZE_DEG)
-        )
+_centroid_lat = attrgetter("centroid.lat")  # sort key of Registry._by_lat
 
 
 class Registry:
@@ -203,9 +120,9 @@ class Registry:
     Thread-safe behind two locks. A writer mutex serialises every mutator
     (``add_box``, ``bulk_load``, ``load_snapshot``); the writer does its
     slow work under it alone: overlap search, encode, audit append and the
-    snapshot write and fsync. A short state lock guards the
-    in-memory set: readers hold it for their query, and a writer takes it
-    only to swap in a committed change. Only writer-mutex holders change the
+    snapshot write and fsync. A short state lock guards the in-memory set:
+    readers hold it to take their latitude band, and a writer takes it only
+    to swap in a committed change. Only writer-mutex holders change the
     state, so a writer reads it without the state lock. Readers therefore
     see committed state only and never wait on snapshot I/O.
 
@@ -226,7 +143,7 @@ class Registry:
         self._lock = threading.Lock()  # guards the state readers see
         self._boxes: dict[str, RestrictedBox] = {}
         self._lines: dict[str, bytes] = {}  # cached snapshot line per box
-        self._index = _GridIndex()
+        self._by_lat: list[RestrictedBox] = []  # the boxes, by centroid latitude
         self._id_rng = id_rng if id_rng is not None else random.Random()
         # conservative bound on stored box half-extents, in degrees; only
         # grows, which keeps the overlap candidate search a true superset
@@ -255,18 +172,29 @@ class Registry:
         """Every box whose centroid is within radius_m of center (inclusive)."""
         if not (math.isfinite(radius_m) and radius_m > 0):
             raise ValueError("radius_m must be positive")
+        # meridian-arc bound: no centroid within radius_m lies outside the band
+        lat_pad = radius_m / geo.METERS_PER_DEG * 1.000001 + 1e-9
+        lat_lo, lat_hi = center.lat - lat_pad, center.lat + lat_pad
+        # widest possible longitude gap at distance radius_m, reached at the
+        # narrowest parallel of the band: sin(gap/2) = sin(r/2R) / cos(lat)
+        cos_lim = math.cos(math.radians(min(90.0, max(abs(lat_lo), abs(lat_hi)))))
+        sin_half = math.sin(min(math.pi, radius_m / geo.EARTH_RADIUS_M) / 2.0)
+        if cos_lim <= sin_half:
+            lon_pad = 180.0
+        else:
+            lon_pad = math.degrees(2.0 * math.asin(sin_half / cos_lim)) * 1.000001 + 1e-9
         with self._lock:
-            hits = []
-            boxes = self._boxes
-            # meridian-arc lower bound: cheap exact reject before haversine
-            lat_cut = radius_m / geo.METERS_PER_DEG * 1.000001 + 1e-9
-            for box_id in self._index.ids_near_disc(center, radius_m):
-                box = boxes[box_id]
-                if abs(box.centroid.lat - center.lat) > lat_cut:
-                    continue
-                if geo.haversine_distance(center, box.centroid) <= radius_m:
-                    hits.append(box)
-            return hits
+            by_lat = self._by_lat
+            band = by_lat[
+                bisect_left(by_lat, lat_lo, key=_centroid_lat) : bisect_right(by_lat, lat_hi, key=_centroid_lat)
+            ]
+        lon = center.lon
+        return [
+            box
+            for box in band
+            if abs((box.centroid.lon - lon + 180.0) % 360.0 - 180.0) <= lon_pad
+            and geo.haversine_distance(center, box.centroid) <= radius_m
+        ]
 
     def encode_boxes(self, boxes: Iterable[RestrictedBox]) -> bytes:
         """JSON array of the boxes' canonical records: their snapshot lines joined.
@@ -288,19 +216,22 @@ class Registry:
         """Grow extent over every transitively overlapping stored box."""
         union = extent
         absorbed: dict[str, RestrictedBox] = {}
+        by_lat = self._by_lat
+        pad_w = self._max_half_w + 1e-9
+        pad_h = self._max_half_h + 1e-9
         while True:
-            pad_w = self._max_half_w + 1e-9
-            pad_h = self._max_half_h + 1e-9
-            candidates = self._index.ids_in_rect(
-                max(-180.0, union.min_lon - pad_w),
-                max(-90.0, union.min_lat - pad_h),
-                min(180.0, union.max_lon + pad_w),
-                min(90.0, union.max_lat + pad_h),
-            )
+            # a box overlapping union has its centroid within its half-extent of it
+            lon_lo, lon_hi = union.min_lon - pad_w, union.max_lon + pad_w
+            band = by_lat[
+                bisect_left(by_lat, union.min_lat - pad_h, key=_centroid_lat) :
+                bisect_right(by_lat, union.max_lat + pad_h, key=_centroid_lat)
+            ]
             hits = [
-                self._boxes[box_id]
-                for box_id in candidates
-                if box_id not in absorbed and geo.boxes_overlap(self._boxes[box_id].extent, union)
+                box
+                for box in band
+                if lon_lo <= box.centroid.lon <= lon_hi
+                and box.id not in absorbed
+                and geo.boxes_overlap(box.extent, union)
             ]
             if not hits:
                 return union, absorbed
@@ -348,14 +279,19 @@ class Registry:
                         self._truncate_audit(audit_size)
                     raise
             half_w, half_h = _half_extent_bound([union], self._max_half_w, self._max_half_h)
+            by_lat = self._by_lat
             with self._lock:
                 for box in absorbed.values():
                     del self._boxes[box.id]
                     del self._lines[box.id]
-                    self._index.discard(box.id, box.centroid)
+                    # equal latitudes are common: match the box by identity
+                    i = bisect_left(by_lat, box.centroid.lat, key=_centroid_lat)
+                    while by_lat[i] is not box:
+                        i += 1
+                    del by_lat[i]
                 self._boxes[stored.id] = stored
                 self._lines[stored.id] = stored_line
-                self._index.add(stored.id, stored.centroid)
+                insort(by_lat, stored, key=_centroid_lat)
                 self._max_half_w, self._max_half_h = half_w, half_h
             return AddOutcome(stored=stored, replaced_ids=tuple(sorted(absorbed)))
 
@@ -377,7 +313,6 @@ class Registry:
         with self._write_lock:
             boxes: dict[str, RestrictedBox] = {}
             lines: dict[str, bytes] = {}
-            index = _GridIndex()
             for extent in extents:
                 box = RestrictedBox(
                     id=self._new_id(boxes),
@@ -389,16 +324,17 @@ class Registry:
                 )
                 boxes[box.id] = box
                 lines[box.id] = snapshot.encode_record(box_record(box))
-                index.add(box.id, box.centroid)
             if self.snapshot_path:
                 snapshot.write_snapshot(self.snapshot_path, [*self._lines.values(), *lines.values()])
             half_w, half_h = _half_extent_bound(
                 (box.extent for box in boxes.values()), self._max_half_w, self._max_half_h
             )
+            # one sort, not an insort per box; the old list is one sorted run already
+            by_lat = sorted([*self._by_lat, *boxes.values()], key=_centroid_lat)
             with self._lock:
                 self._boxes.update(boxes)
                 self._lines.update(lines)
-                self._index.merge(index)
+                self._by_lat = by_lat
                 self._max_half_w, self._max_half_h = half_w, half_h
             return len(boxes)
 
@@ -412,7 +348,6 @@ class Registry:
         with self._write_lock:
             boxes: dict[str, RestrictedBox] = {}
             lines: dict[str, bytes] = {}
-            index = _GridIndex()
             # one record at a time: only the lines and the boxes stay alive
             for i, line in enumerate(snapshot.read_snapshot(source)):
                 record = snapshot.parse_line(source, i, line)
@@ -430,10 +365,10 @@ class Registry:
                     raise CorruptSnapshot(f"{source}: box {box.id} centroid is not the midpoint of its extent")
                 boxes[box.id] = box
                 lines[box.id] = line if _is_canonical(line, record) else snapshot.encode_record(box_record(box))
-                index.add(box.id, box.centroid)
             half_w, half_h = _half_extent_bound(box.extent for box in boxes.values())
+            by_lat = sorted(boxes.values(), key=_centroid_lat)
             with self._lock:
-                self._boxes, self._lines, self._index = boxes, lines, index
+                self._boxes, self._lines, self._by_lat = boxes, lines, by_lat
                 self._max_half_w, self._max_half_h = half_w, half_h
             return len(boxes)
 

@@ -47,8 +47,8 @@ class ApiConfig:
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
             raise ValueError(f"invalid port {self.port}")
-        if self.max_body_bytes <= 0 or self.max_radius_m <= 0:
-            raise ValueError("size and radius limits must be positive")
+        if not (0 < self.max_body_bytes < math.inf and 0 < self.max_radius_m < math.inf):  # NaN fails too
+            raise ValueError("size and radius limits must be finite and positive")
 
 
 class _ApiError(Exception):

@@ -13,10 +13,11 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAGIC = "GFG1"
 FORMAT_VERSION = 1
+_PIECE_LINES = 4096  # lines joined at a time when checksumming and writing
 
 
 class StorageFailure(OSError):
@@ -32,17 +33,28 @@ def encode_record(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+def _pieces(lines: Sequence[bytes]) -> Iterator[bytes]:
+    for i in range(0, len(lines), _PIECE_LINES):
+        yield b"".join(lines[i : i + _PIECE_LINES])
+
+
 def write_snapshot(path: str, lines: Sequence[bytes]) -> None:
-    """Write pre-encoded record lines as a snapshot, atomically."""
-    body = b"".join(lines)
-    header = f"{MAGIC} {FORMAT_VERSION} {len(lines)} {zlib.crc32(body):08x}\n".encode("ascii")
+    """Write pre-encoded record lines as a snapshot, atomically.
+
+    The body is checksummed and written a piece at a time, never joined
+    whole, so a write holds about one piece beyond the lines themselves.
+    """
+    crc = 0
+    for piece in _pieces(lines):
+        crc = zlib.crc32(piece, crc)
+    header = f"{MAGIC} {FORMAT_VERSION} {len(lines)} {crc:08x}\n".encode("ascii")
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".snapshot-", suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.write(header)
-            f.write(body)
+            f.writelines(_pieces(lines))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp_path, path)

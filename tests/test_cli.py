@@ -267,3 +267,27 @@ def test_config_non_numeric_policy_value_rejected(tmp_path):
     conf.write_text("permissible_distance=lots\n")
     with pytest.raises(ValueError):
         policy_from_values(load_kv_config(str(conf)))
+
+
+@pytest.mark.parametrize("key, value", [("permissible_distance", "nan"), ("lockout_after", "inf")])
+def test_config_non_finite_policy_value_rejected(key, value):
+    # a NaN standoff used to build a policy that allowed a capture inside a box
+    with pytest.raises(ValueError, match="finite"):
+        policy_from_values({key: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_non_finite_radius_cap_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        api_config_from_values({"max_radius_m": value})
+
+
+def test_replay_cli_rejects_a_non_finite_policy_config(tmp_path, capsys):
+    traj = tmp_path / "traj.jsonl"
+    traj.write_text('{"t": 0, "kind": "fix", "lat": 40.0, "lon": -74.0}\n')
+    conf = tmp_path / "device.conf"
+    conf.write_text("permissible_distance=nan\n")
+    code, out, err = run_cli(capsys, "--config", str(conf), "replay", str(traj))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "permissible_distance must be finite and positive" in err

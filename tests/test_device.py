@@ -61,6 +61,9 @@ def test_policy_defaults_match_contract():
     {"movement_threshold": -1},
     {"stale_after": 90_000.0, "lockout_after": 89_000.0},
     {"fetch_radius": 1000.0},  # below the movement threshold
+    {"permissible_distance": float("nan")},
+    {"lockout_after": float("inf")},
+    {"stale_after": float("nan")},
 ])
 def test_policy_rejects_inconsistent_values(kwargs):
     with pytest.raises(ValueError):
@@ -485,3 +488,30 @@ def test_cache_file_contains_exactly_one_fix(tmp_path):
     device.cache_save(state, path)
     text = open(path, encoding="utf-8").read()
     assert text.count("last_location_lat") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("coverage_radius_m", float("nan")),
+        ("coverage_radius_m", float("inf")),
+        ("coverage_radius_m", -1.0),
+        ("coverage_radius_m", None),
+        ("coverage_radius_m", "40000"),
+        ("last_refresh_at", "yesterday"),
+        ("last_refresh_at", True),
+        ("last_refresh_at", float("nan")),
+        ("last_location_at", float("inf")),
+        ("last_location_at", "0"),
+    ],
+)
+def test_cache_load_rejects_a_header_number_that_is_not_one(tmp_path, key, value):
+    path = str(tmp_path / "cache.snap")
+    box = cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01), "a")
+    device.cache_save(fresh_state(at=100.0, boxes=[box]), path)
+    lines = snapshot.read_snapshot(path)
+    head = json.loads(lines[0])
+    head[key] = value
+    snapshot.write_snapshot(path, [snapshot.encode_record(head), *lines[1:]])
+    with pytest.raises(CorruptSnapshot, match=key):
+        device.cache_load(path)

@@ -1,7 +1,9 @@
 """Registry: merge-on-add semantics, vicinity queries, persistence, audit."""
 
+import itertools
 import json
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -179,29 +181,105 @@ def test_radius_query_rejects_non_positive_radius():
         reg.boxes_within_radius(GeoPoint(0, 0), -5.0)
 
 
+def assert_query_matches_scan(reg, center, radius):
+    expected = {b.id for b in reg.all_boxes() if geo.haversine_distance(center, b.centroid) <= radius}
+    got = [b.id for b in reg.boxes_within_radius(center, radius)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+    return expected
+
+
+def _anywhere(rng):
+    return rng.uniform(-85, 85), rng.uniform(-179, 178)
+
+
+def _north_cap(rng):
+    return rng.uniform(80, 89.97), rng.uniform(-180, 179.97)
+
+
+def _south_cap(rng):
+    return rng.uniform(-90, -80), rng.uniform(-180, 179.97)
+
+
+def _antimeridian(rng):
+    return rng.uniform(-60, 60), rng.choice((rng.uniform(-180, -176), rng.uniform(176, 179.97)))
+
+
 def test_radius_query_matches_linear_scan_oracle():
-    rng = random.Random(4242)
+    for seed, where in ((4242, _anywhere), (4243, _north_cap), (4244, _south_cap), (4245, _antimeridian)):
+        rng = random.Random(seed)
+        reg = Registry()
+        reg.bulk_load(
+            (BoxExtent(lon, lat, lon + 0.02, lat + 0.02) for lat, lon in (where(rng) for _ in range(1000))),
+            added_by="gen",
+            reason="",
+            now=0,
+        )
+        boxes = reg.all_boxes()
+        for _ in range(100):
+            lat, lon = where(rng)
+            center = GeoPoint(lat=lat, lon=lon)
+            # 1 m to 21,000 km; near a pole the wider radii reach its cap,
+            # so the longitude window is the whole circle
+            assert_query_matches_scan(reg, center, 10 ** rng.uniform(0.0, 7.33))
+            # a radius exactly equal to one centroid's distance includes it
+            box = rng.choice(boxes)
+            exact = geo.haversine_distance(center, box.centroid)
+            if exact > 0:
+                assert box.id in assert_query_matches_scan(reg, center, exact)
+
+
+def test_merge_absorbs_one_of_twins_with_equal_centroid_latitudes():
     reg = Registry()
+    twins = [add(reg, BoxExtent(i, 10.0, i + 0.5, 11.0)).stored for i in range(6)]
+    assert len({b.centroid.lat for b in twins}) == 1
+    centers = [GeoPoint(10.5, 2.0), GeoPoint(10.5, 0.0), GeoPoint(-5.0, 3.0)]
+    # inside twin 2 only: the stored box replaces it, at the same latitude
+    inner = add(reg, BoxExtent(2.1, 10.2, 2.2, 10.3))
+    assert inner.replaced_ids == (twins[2].id,)
+    assert inner.stored.centroid.lat == twins[2].centroid.lat
+    # bridging twins 4 and 5
+    bridge = add(reg, BoxExtent(4.4, 10.4, 5.1, 10.6))
+    assert bridge.replaced_ids == tuple(sorted((twins[4].id, twins[5].id)))
+    assert reg.count() == 5
+    for center in centers:
+        for radius in (1_000.0, 200_000.0, 2_000_000.0):
+            assert_query_matches_scan(reg, center, radius)
+    # the survivors still merge: one add over every box at that latitude
+    everything = add(reg, BoxExtent(-1.0, 10.5, 7.0, 10.5))
+    assert len(everything.replaced_ids) == 5 and reg.count() == 1
+    assert [b.id for b in reg.boxes_within_radius(GeoPoint(10.5, 3.0), 1_000_000.0)] == [everything.stored.id]
+
+
+def test_bulk_load_into_a_non_empty_registry_then_query_and_merge():
+    rng = random.Random(77)
+    reg = Registry()
+    first = [add(reg, BoxExtent(i, 0.0, i + 0.1, 0.1)).stored for i in range(0, 10, 2)]
     reg.bulk_load(
         (
-            BoxExtent(lon, lat, lon + 0.02, lat + 0.02)
-            for lon, lat in (
-                (rng.uniform(-179, 178), rng.uniform(-85, 85)) for _ in range(1000)
-            )
+            BoxExtent(lon, lat, lon + 0.05, lat + 0.05)
+            for lon, lat in ((rng.uniform(-5, 15), rng.uniform(1, 5)) for _ in range(500))
         ),
         added_by="gen",
         reason="",
         now=0,
     )
-    boxes = reg.all_boxes()
-    for _ in range(100):
-        center = GeoPoint(lat=rng.uniform(-85, 85), lon=rng.uniform(-179, 179))
-        radius = rng.uniform(1_000.0, 2_000_000.0)
-        expected = {
-            b.id for b in boxes if geo.haversine_distance(center, b.centroid) <= radius
-        }
-        got = {b.id for b in reg.boxes_within_radius(center, radius)}
-        assert got == expected
+    assert reg.count() == 505
+    for _ in range(50):
+        center = GeoPoint(rng.uniform(-1, 6), rng.uniform(-6, 16))
+        assert_query_matches_scan(reg, center, rng.uniform(1_000.0, 800_000.0))
+    # one add bridging a box added before the bulk load and a bulk-loaded one
+    loaded = next(b for b in reg.all_boxes() if b.extent.min_lat >= 1 and b.extent.min_lon > 0)
+    bridge = BoxExtent(
+        first[0].extent.min_lon, first[0].extent.min_lat, loaded.extent.min_lon, loaded.extent.min_lat
+    )
+    outcome = add(reg, bridge)
+    assert {first[0].id, loaded.id} <= set(outcome.replaced_ids)
+    stored = outcome.stored
+    assert all(not geo.boxes_overlap(b.extent, stored.extent) for b in reg.all_boxes() if b is not stored)
+    for _ in range(50):
+        center = GeoPoint(rng.uniform(-1, 6), rng.uniform(-6, 16))
+        assert_query_matches_scan(reg, center, rng.uniform(1_000.0, 800_000.0))
 
 
 def test_radius_query_finds_centroids_across_the_antimeridian():
@@ -445,6 +523,42 @@ def test_box_classes_have_no_instance_dict():
     outcome = add(Registry(), BoxExtent(0, 0, 1, 1))
     for value in (outcome, outcome.stored, outcome.stored.extent, outcome.stored.centroid):
         assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_concurrent_queries_see_only_committed_disjoint_sets():
+    # readers take their latitude band while the writer merges boxes out of
+    # the sorted list and inserts their unions; a torn view would show a
+    # box twice, or an absorbed box beside the union that replaced it
+    reg = Registry()
+    stop = threading.Event()
+    torn = []
+
+    def reader():
+        while not stop.is_set():
+            hits = reg.boxes_within_radius(GeoPoint(0.5, 0.5), 200_000.0)
+            if len({b.id for b in hits}) != len(hits) or any(
+                geo.boxes_overlap(a.extent, b.extent) for a, b in itertools.combinations(hits, 2)
+            ):
+                torn.append([b.id for b in hits])
+
+    readers = [threading.Thread(target=reader, daemon=True) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers:
+            thread.start()
+        rng = random.Random(9)
+        for _ in range(2000):
+            lon, lat = rng.uniform(0, 1), rng.uniform(0, 1)
+            add(reg, BoxExtent(lon, lat, lon + 0.04, lat + 0.04))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for thread in readers:
+            thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in readers)
+    assert torn == []
+    assert_query_matches_scan(reg, GeoPoint(0.5, 0.5), 200_000.0)
 
 
 def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):

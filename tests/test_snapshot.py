@@ -1,6 +1,7 @@
 """Snapshot container: round trips, atomicity, and corruption detection."""
 
 import os
+import tracemalloc
 import zlib
 
 import pytest
@@ -12,6 +13,7 @@ from geofence.snapshot import (
     parse_line,
     read_snapshot,
     write_records,
+    write_snapshot,
 )
 
 
@@ -113,3 +115,30 @@ def test_last_line_without_newline_is_returned_as_it_is(tmp_path):
     assert read_snapshot(path) == [b'{"id":1}\n', b'{"id":2}']
     assert read_records(path) == [{"id": 1}, {"id": 2}]
 
+
+def _lines(n):
+    return [encode_record({"id": f"{i:032x}", "reason": "x" * 200}) for i in range(n)]
+
+
+def test_write_is_the_header_then_the_lines_byte_for_byte(tmp_path):
+    path = str(tmp_path / "store.snap")
+    for n in (0, 1, 4095, 4096, 4097, 9000):  # around the write's piece size
+        lines = _lines(n)
+        write_snapshot(path, lines)
+        body = b"".join(lines)
+        assert open(path, "rb").read() == b"GFG1 1 %d %08x\n" % (n, zlib.crc32(body)) + body
+
+
+def test_write_does_not_hold_a_copy_of_the_whole_body(tmp_path):
+    path = str(tmp_path / "store.snap")
+    lines = _lines(20_000)
+    body_size = sum(map(len, lines))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_snapshot(path, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < body_size / 2
+    assert len(read_snapshot(path)) == 20_000
