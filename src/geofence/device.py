@@ -171,9 +171,9 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
         or geo.haversine_distance(fix, state.coverage_center) > state.coverage_radius_m
     ):
         return CaptureDecision(Verdict.DENIED_NO_COVERAGE)
-    # meridian-arc lower bound, as in Registry.boxes_within_radius: a box
-    # wholly outside this latitude band is farther than permissible_distance
-    lat_cut = policy.permissible_distance / geo.METERS_PER_DEG * 1.000001 + 1e-9
+    # as in Registry.boxes_within_radius: a box wholly outside this
+    # latitude band is farther than permissible_distance
+    lat_cut = geo.lat_reach(policy.permissible_distance)
     lat_lo, lat_hi = fix.lat - lat_cut, fix.lat + lat_cut
     nearest_id: str | None = None
     nearest_d = 0.0

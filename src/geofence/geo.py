@@ -24,7 +24,8 @@ class AntimeridianUnsupported(ValueError):
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
-    if not (math.isfinite(value) and lo <= value <= hi):
+    # the bounds are finite and NaN fails every comparison, so this rejects non-finite values too
+    if type(value) is bool or not lo <= value <= hi:
         raise InvalidCoordinate(f"{name} must be a finite value in [{lo}, {hi}], got {value!r}")
 
 
@@ -92,6 +93,14 @@ def centroid(box: BoxExtent) -> GeoPoint:
         lat=(box.min_lat + box.max_lat) / 2.0,
         lon=(box.min_lon + box.max_lon) / 2.0,
     )
+
+
+def lat_reach(distance_m: float) -> float:
+    """Half-height, in degrees, of a latitude band holding all within distance_m of its middle.
+
+    No path changes latitude faster than a meridian arc; the slack absorbs rounding.
+    """
+    return distance_m / METERS_PER_DEG * 1.000001 + 1e-9
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:

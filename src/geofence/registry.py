@@ -92,7 +92,7 @@ def _is_canonical(line: bytes, record: dict) -> bool:
 def box_from_record(record: dict) -> RestrictedBox:
     """Parse the canonical dict form back into a box, validating geometry."""
     try:
-        return RestrictedBox(
+        box = RestrictedBox(
             id=str(record["id"]),
             extent=BoxExtent(
                 min_lon=record["min_lon"],
@@ -109,6 +109,9 @@ def box_from_record(record: dict) -> RestrictedBox:
         raise ValueError(f"box record missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"box record has a non-numeric field: {exc}") from exc
+    if type(record["created_at"]) not in (int, float):  # float() would take "12" or True
+        raise ValueError(f"box record has a non-numeric created_at: {record['created_at']!r}")
+    return box
 
 
 _centroid_lat = attrgetter("centroid.lat")  # sort key of Registry._by_lat
@@ -141,8 +144,7 @@ class Registry:
         self.audit_log_path = audit_log_path
         self._write_lock = threading.Lock()  # serialises mutators
         self._lock = threading.Lock()  # guards the state readers see
-        self._boxes: dict[str, RestrictedBox] = {}
-        self._lines: dict[str, bytes] = {}  # cached snapshot line per box
+        self._lines: dict[str, bytes] = {}  # id -> snapshot line, in snapshot order
         self._by_lat: list[RestrictedBox] = []  # the boxes, by centroid latitude
         self._id_rng = id_rng if id_rng is not None else random.Random()
         # conservative bound on stored box half-extents, in degrees; only
@@ -155,25 +157,26 @@ class Registry:
     def _new_id(self, pending: Container[str] = ()) -> str:
         while True:
             box_id = f"{self._id_rng.getrandbits(128):032x}"
-            if box_id not in self._boxes and box_id not in pending:
+            if box_id not in self._lines and box_id not in pending:
                 return box_id
 
     # -- queries ----------------------------------------------------------
 
     def count(self) -> int:
         with self._lock:
-            return len(self._boxes)
+            return len(self._lines)
 
     def all_boxes(self) -> list[RestrictedBox]:
+        """Every stored box, in centroid-latitude order; callers need no order."""
         with self._lock:
-            return list(self._boxes.values())
+            return list(self._by_lat)
 
     def boxes_within_radius(self, center: GeoPoint, radius_m: float) -> list[RestrictedBox]:
         """Every box whose centroid is within radius_m of center (inclusive)."""
         if not (math.isfinite(radius_m) and radius_m > 0):
             raise ValueError("radius_m must be positive")
         # meridian-arc bound: no centroid within radius_m lies outside the band
-        lat_pad = radius_m / geo.METERS_PER_DEG * 1.000001 + 1e-9
+        lat_pad = geo.lat_reach(radius_m)
         lat_lo, lat_hi = center.lat - lat_pad, center.lat + lat_pad
         # widest possible longitude gap at distance radius_m, reached at the
         # narrowest parallel of the band: sin(gap/2) = sin(r/2R) / cos(lat)
@@ -199,15 +202,13 @@ class Registry:
     def encode_boxes(self, boxes: Iterable[RestrictedBox]) -> bytes:
         """JSON array of the boxes' canonical records: their snapshot lines joined.
 
-        Disk and wire share one encoding. A box a concurrent merge removed
-        after it was queried is encoded afresh, so it is served as queried.
+        Disk and wire share one encoding, and no id is ever given to two
+        boxes. A box a concurrent merge removed after it was queried has no
+        line left, so it is encoded afresh and served as queried.
         """
         with self._lock:
-            current, lines = self._boxes, self._lines
-            parts = [
-                lines[box.id] if current.get(box.id) is box else snapshot.encode_record(box_record(box))
-                for box in boxes
-            ]
+            lines = self._lines
+            parts = [lines.get(box.id) or snapshot.encode_record(box_record(box)) for box in boxes]
         return b"[" + b",".join(parts) + b"]"
 
     # -- adds -------------------------------------------------------------
@@ -282,14 +283,12 @@ class Registry:
             by_lat = self._by_lat
             with self._lock:
                 for box in absorbed.values():
-                    del self._boxes[box.id]
                     del self._lines[box.id]
                     # equal latitudes are common: match the box by identity
                     i = bisect_left(by_lat, box.centroid.lat, key=_centroid_lat)
                     while by_lat[i] is not box:
                         i += 1
                     del by_lat[i]
-                self._boxes[stored.id] = stored
                 self._lines[stored.id] = stored_line
                 insort(by_lat, stored, key=_centroid_lat)
                 self._max_half_w, self._max_half_h = half_w, half_h
@@ -311,32 +310,23 @@ class Registry:
         if not added_by:
             raise ValueError("added_by must be non-empty")
         with self._write_lock:
-            boxes: dict[str, RestrictedBox] = {}
+            boxes = self._by_lat.copy()
             lines: dict[str, bytes] = {}
             for extent in extents:
                 box = RestrictedBox(
-                    id=self._new_id(boxes),
+                    id=self._new_id(lines),
                     extent=extent,
                     centroid=geo.centroid(extent),
                     added_by=added_by,
                     reason=reason,
                     created_at=now,
                 )
-                boxes[box.id] = box
+                boxes.append(box)
                 lines[box.id] = snapshot.encode_record(box_record(box))
             if self.snapshot_path:
                 snapshot.write_snapshot(self.snapshot_path, [*self._lines.values(), *lines.values()])
-            half_w, half_h = _half_extent_bound(
-                (box.extent for box in boxes.values()), self._max_half_w, self._max_half_h
-            )
-            # one sort, not an insort per box; the old list is one sorted run already
-            by_lat = sorted([*self._by_lat, *boxes.values()], key=_centroid_lat)
-            with self._lock:
-                self._boxes.update(boxes)
-                self._lines.update(lines)
-                self._by_lat = by_lat
-                self._max_half_w, self._max_half_h = half_w, half_h
-            return len(boxes)
+            self._publish({**self._lines, **lines}, boxes)
+            return len(lines)
 
     # -- persistence ------------------------------------------------------
 
@@ -346,16 +336,20 @@ class Registry:
         if not source:
             raise ValueError("no snapshot path given or bound")
         with self._write_lock:
-            boxes: dict[str, RestrictedBox] = {}
+            boxes: list[RestrictedBox] = []
             lines: dict[str, bytes] = {}
+            shared: dict[str, str] = {}  # first seen of each added_by and reason value
             # one record at a time: only the lines and the boxes stay alive
             for i, line in enumerate(snapshot.read_snapshot(source)):
                 record = snapshot.parse_line(source, i, line)
+                for key in ("added_by", "reason"):
+                    if type(value := record.get(key)) is str:
+                        record[key] = shared.setdefault(value, value)
                 try:
                     box = box_from_record(record)
                 except (ValueError, geo.InvalidCoordinate) as exc:
                     raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
-                if box.id in boxes:
+                if box.id in lines:
                     raise CorruptSnapshot(f"{source}: duplicate box id {box.id}")
                 extent, stored = box.extent, box.centroid
                 if (
@@ -363,14 +357,22 @@ class Registry:
                     or stored.lon != (extent.min_lon + extent.max_lon) / 2.0
                 ):
                     raise CorruptSnapshot(f"{source}: box {box.id} centroid is not the midpoint of its extent")
-                boxes[box.id] = box
+                boxes.append(box)
                 lines[box.id] = line if _is_canonical(line, record) else snapshot.encode_record(box_record(box))
-            half_w, half_h = _half_extent_bound(box.extent for box in boxes.values())
-            by_lat = sorted(boxes.values(), key=_centroid_lat)
-            with self._lock:
-                self._boxes, self._lines, self._by_lat = boxes, lines, by_lat
-                self._max_half_w, self._max_half_h = half_w, half_h
+            self._publish(lines, boxes)
             return len(boxes)
+
+    def _publish(self, lines: dict[str, bytes], boxes: list[RestrictedBox]) -> None:
+        """Swap in a whole new state: the id -> line map and its boxes, in any order.
+
+        A merged box contains every box it absorbed, so the half-extent bound
+        over the stored boxes alone is the running maximum.
+        """
+        half_w, half_h = _half_extent_bound(box.extent for box in boxes)
+        boxes.sort(key=_centroid_lat)  # one sort; an old list is one sorted run already
+        with self._lock:
+            self._lines, self._by_lat = lines, boxes
+            self._max_half_w, self._max_half_h = half_w, half_h
 
     def _append_audit(self, merged_into: str, absorbed: Iterable[RestrictedBox], now: float) -> int:
         """Append one entry per absorbed box, durably; return the prior file size."""

@@ -393,6 +393,15 @@ def test_fetch_boxes_rejection_carries_status(live_server):
     assert excinfo.value.status == 400
 
 
+@pytest.mark.parametrize("key, value", [("min_lat", True), ("created_at", "12")])
+def test_fetch_boxes_rejects_a_record_with_a_bool_coordinate_or_text_time(monkeypatch, key, value):
+    record = device.box_record(cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01)))
+    body = json.dumps({"boxes": [dict(record, **{key: value})]}).encode()
+    monkeypatch.setattr(device, "http_request", lambda *args, **kwargs: (200, body))
+    with pytest.raises(FetchFailed, match=key):
+        device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)
+
+
 # -- http_request ----------------------------------------------------------------
 
 
@@ -475,6 +484,17 @@ def test_cache_load_names_the_bad_line(tmp_path, bad, message):
     head = open(path, "rb").read().split(b"\n")[1] + b"\n"
     snapshot.write_snapshot(path, [head, bad])
     with pytest.raises(CorruptSnapshot, match=message):
+        device.cache_load(path)
+
+
+@pytest.mark.parametrize("key, value", [("max_lon", False), ("created_at", "0")])
+def test_cache_load_rejects_a_box_with_a_bool_coordinate_or_text_time(tmp_path, key, value):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(fresh_state(boxes=[cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01))]), path)
+    head, line = snapshot.read_snapshot(path)
+    bad = snapshot.encode_record(dict(json.loads(line), **{key: value}))
+    snapshot.write_snapshot(path, [head, bad])
+    with pytest.raises(CorruptSnapshot, match=key):
         device.cache_load(path)
 
 

@@ -62,6 +62,12 @@ def test_point_non_finite_rejected(lat, lon):
         GeoPoint(lat=lat, lon=lon)
 
 
+@pytest.mark.parametrize("lat,lon", [(True, 0.0), (0.0, False)])
+def test_point_bool_coordinate_rejected(lat, lon):
+    with pytest.raises(InvalidCoordinate):
+        GeoPoint(lat=lat, lon=lon)
+
+
 def test_box_corner_order_enforced():
     with pytest.raises(InvalidCoordinate):
         BoxExtent(min_lon=1, min_lat=0, max_lon=0, max_lat=1)
@@ -295,3 +301,16 @@ def test_destination_round_trips_through_haversine():
         dist = rng.uniform(1.0, 200_000.0)
         p = geo.destination(origin, rng.uniform(0, 360), dist)
         assert geo.haversine_distance(origin, p) == pytest.approx(dist, rel=1e-9, abs=1e-6)
+
+
+# -- latitude reach --------------------------------------------------------------
+
+
+def test_lat_reach_holds_every_point_at_that_distance():
+    rng = random.Random(31)
+    for _ in range(2000):
+        origin = GeoPoint(lat=rng.uniform(-85, 85), lon=rng.uniform(-170, 170))
+        # due north or south is the worst case; the rest show it is a bound
+        bearing = rng.choice([0.0, 180.0, rng.uniform(0, 360)])
+        p = geo.destination(origin, bearing, rng.uniform(0.0, 100_000.0))
+        assert abs(p.lat - origin.lat) <= geo.lat_reach(geo.haversine_distance(origin, p))

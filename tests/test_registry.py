@@ -502,6 +502,27 @@ def test_load_names_the_bad_line_and_keeps_previous_contents(tmp_path, bad, mess
     assert reg.all_boxes() == [kept]
 
 
+def test_load_keeps_one_object_per_distinct_added_by_and_reason(tmp_path):
+    path = str(tmp_path / "reg.snap")
+    extents = datasets.generate_extents(5_000, GeoPoint(40.0, -74.5), 50 * MILE_M, random.Random(6))
+    Registry(snapshot_path=path).bulk_load(extents, added_by="operator-7", reason="seeded store", now=0.0)
+    reg = Registry()
+    assert reg.load_snapshot(path) == 5_000
+    boxes = reg.all_boxes()
+    assert len({id(b.added_by) for b in boxes}) == 1
+    assert len({id(b.reason) for b in boxes}) == 1
+
+
+@pytest.mark.parametrize("key", ["added_by", "reason"])
+def test_load_still_rejects_a_record_missing_an_audit_field(tmp_path, key):
+    path = str(tmp_path / "reg.snap")
+    record = box_record(_stored_line()[0])
+    del record[key]
+    snapshot.write_records(path, [record])
+    with pytest.raises(CorruptSnapshot, match=f"missing field '{key}'"):
+        Registry().load_snapshot(path)
+
+
 def test_load_snapshot_peak_memory_stays_near_what_it_keeps(tmp_path):
     path = str(tmp_path / "reg.snap")
     extents = datasets.generate_extents(5_000, GeoPoint(40.0, -74.5), 50 * MILE_M, random.Random(5))
@@ -656,3 +677,26 @@ def test_box_record_has_exactly_the_wire_fields():
 def test_box_from_record_rejects_missing_fields():
     with pytest.raises(ValueError):
         box_from_record({"id": "x", "min_lon": 0})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("min_lon", True, "min_lon must be"),
+        ("centroid_lat", False, "lat must be"),
+        ("created_at", "12", "created_at"),
+        ("created_at", True, "created_at"),
+    ],
+)
+def test_box_from_record_rejects_a_bool_coordinate_or_a_non_numeric_time(key, value, message):
+    record = box_record(add(Registry(), BoxExtent(0, 0, 1, 1)).stored)
+    with pytest.raises(ValueError, match=message):
+        box_from_record(dict(record, **{key: value}))
+
+
+def test_load_snapshot_rejects_a_bool_coordinate(tmp_path):
+    path = str(tmp_path / "reg.snap")
+    record = box_record(add(Registry(), BoxExtent(0, 0, 1, 1)).stored)
+    snapshot.write_records(path, [dict(record, min_lon=False)])
+    with pytest.raises(CorruptSnapshot, match="min_lon"):
+        Registry().load_snapshot(path)

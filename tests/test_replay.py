@@ -45,6 +45,7 @@ def test_parse_happy_path():
     ([jline(t=0, kind="fix", lat=99.0, lon=0.0)], 1),  # invalid coordinate
     ([jline(t="soon", kind="net_up")], 1),
     ([fix_line(0, START), "also broken"], 2),
+    ([jline(t=0, kind="fix", lat=True, lon=False)], 1),  # bools are not coordinates
 ])
 def test_parse_errors_carry_line_numbers(lines, line_no):
     with pytest.raises(TrajectoryError) as excinfo:
