@@ -23,7 +23,7 @@ from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from . import geo
-from .registry import Registry, box_record
+from .registry import Registry, box_record, encode_boxes
 from .snapshot import StorageFailure
 
 log = logging.getLogger("geofence.server")
@@ -127,15 +127,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, "not_found", f"no such endpoint: {url.path}")
             return
         try:
-            boxes = self._handle_query(parse_qs(url.query))
+            hits = self._handle_query(parse_qs(url.query))
         except _ApiError as exc:
             self._send_error_json(exc.status, exc.code, exc.message)
         except Exception:
             log.exception("unhandled error in GET /v1/boxes")
             self._send_error_json(500, "internal_error", "unexpected server error")
         else:
-            records = self.server.registry.encode_boxes(boxes)
-            self._send_body(200, b'{"boxes":%b,"count":%d}' % (records, len(boxes)))
+            self._send_body(200, b'{"boxes":%b,"count":%d}' % (encode_boxes(hits), len(hits)))
 
     # -- request handling -------------------------------------------------
 

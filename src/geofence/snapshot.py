@@ -3,8 +3,9 @@
 Layout: one ASCII header line ``GFG1 <version> <count> <crc32>`` followed by
 one JSON object per line. The CRC32 covers every byte after the header line,
 so truncation or bit rot is caught on load. Writes go to a temp file in the
-target directory and land with an atomic rename; a crash mid-save can never
-leave a half-written store behind.
+target directory and land with an atomic rename, and the directory is
+fsynced after it; a crash mid-save can never leave a half-written store
+behind, and once a save returns its rename is on disk too.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def write_snapshot(path: str, lines: Sequence[bytes]) -> None:
             os.fsync(f.fileno())
         os.replace(tmp_path, path)
         tmp_path = None
+        # the rename is durable only once the directory entry is on disk
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise StorageFailure(f"cannot write snapshot {path}: {exc}") from exc
     finally:

@@ -402,6 +402,19 @@ def test_fetch_boxes_rejects_a_record_with_a_bool_coordinate_or_text_time(monkey
         device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)
 
 
+# JSON values that str() would turn into text; a box record's text fields must be strings
+NON_STRING_TEXT = [("id", None), ("added_by", 5), ("reason", ["x"])]
+
+
+@pytest.mark.parametrize("key, value", NON_STRING_TEXT)
+def test_fetch_boxes_rejects_a_record_whose_text_field_is_not_a_string(monkeypatch, key, value):
+    record = device.box_record(cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01)))
+    body = json.dumps({"boxes": [dict(record, **{key: value})]}).encode()
+    monkeypatch.setattr(device, "http_request", lambda *args, **kwargs: (200, body))
+    with pytest.raises(FetchFailed, match=f"'{key}' is not a string"):
+        device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)
+
+
 # -- http_request ----------------------------------------------------------------
 
 
@@ -495,6 +508,17 @@ def test_cache_load_rejects_a_box_with_a_bool_coordinate_or_text_time(tmp_path, 
     bad = snapshot.encode_record(dict(json.loads(line), **{key: value}))
     snapshot.write_snapshot(path, [head, bad])
     with pytest.raises(CorruptSnapshot, match=key):
+        device.cache_load(path)
+
+
+@pytest.mark.parametrize("key, value", NON_STRING_TEXT)
+def test_cache_load_rejects_a_box_whose_text_field_is_not_a_string(tmp_path, key, value):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(fresh_state(boxes=[cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01))]), path)
+    head, line = snapshot.read_snapshot(path)
+    bad = snapshot.encode_record(dict(json.loads(line), **{key: value}))
+    snapshot.write_snapshot(path, [head, bad])
+    with pytest.raises(CorruptSnapshot, match=f"'{key}' is not a string"):
         device.cache_load(path)
 
 

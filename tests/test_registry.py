@@ -11,7 +11,7 @@ import pytest
 
 from geofence import datasets, device, geo, snapshot
 from geofence.geo import MILE_M, BoxExtent, GeoPoint
-from geofence.registry import Registry, box_from_record, box_record
+from geofence.registry import Registry, box_from_record, box_record, encode_boxes
 from geofence.snapshot import CorruptSnapshot, StorageFailure
 
 
@@ -276,7 +276,7 @@ def test_bulk_load_into_a_non_empty_registry_then_query_and_merge():
     outcome = add(reg, bridge)
     assert {first[0].id, loaded.id} <= set(outcome.replaced_ids)
     stored = outcome.stored
-    assert all(not geo.boxes_overlap(b.extent, stored.extent) for b in reg.all_boxes() if b is not stored)
+    assert all(not geo.boxes_overlap(b.extent, stored.extent) for b in reg.all_boxes() if b.id != stored.id)
     for _ in range(50):
         center = GeoPoint(rng.uniform(-1, 6), rng.uniform(-6, 16))
         assert_query_matches_scan(reg, center, rng.uniform(1_000.0, 800_000.0))
@@ -408,13 +408,13 @@ def test_encode_boxes_joins_the_snapshot_lines(tmp_path):
     for i in range(60):
         lon, lat = rng.uniform(-1, 1), rng.uniform(-1, 1)
         add(reg, BoxExtent(lon, lat, lon + rng.uniform(0, 0.2), lat + rng.uniform(0, 0.2)), reason=f"r{i}")
-    boxes = reg.boxes_within_radius(GeoPoint(0, 0), 100_000.0)
-    assert boxes
-    encoded = reg.encode_boxes(boxes)
-    assert json.loads(encoded) == [box_record(b) for b in boxes]
+    hits = reg.boxes_within_radius(GeoPoint(0, 0), 100_000.0)
+    assert hits
+    encoded = encode_boxes(hits)
+    assert json.loads(encoded) == [json.loads(h.line) for h in hits]
     on_disk = {json.loads(line)["id"]: line + b"\n" for line in open(path, "rb").read().splitlines()[1:]}
-    assert encoded == b"[" + b",".join(on_disk[b.id] for b in boxes) + b"]"
-    assert reg.encode_boxes([]) == b"[]"
+    assert encoded == b"[" + b",".join(on_disk[h.id] for h in hits) + b"]"
+    assert encode_boxes([]) == b"[]"
 
 
 # -- loading a snapshot: which lines are kept as they are ---------------------
@@ -434,7 +434,7 @@ def test_load_keeps_a_canonical_line_byte_for_byte(tmp_path, live_server_factory
     snapshot.write_snapshot(path, [own])
     reg = Registry()
     assert reg.load_snapshot(path) == 1
-    assert reg.encode_boxes(reg.all_boxes()) == b"[" + own + b"]"
+    assert encode_boxes(reg.boxes_within_radius(box.centroid, 1000.0)) == b"[" + own + b"]"
     server = live_server_factory(registry=reg)
     query = f"lat={box.centroid.lat}&lon={box.centroid.lon}&radius_m=1000"
     status, body = device.http_request("GET", f"{server.url}/v1/boxes?{query}")
@@ -466,7 +466,7 @@ def test_load_re_encodes_a_line_that_is_not_canonical(tmp_path, how):
     reg = Registry()
     assert reg.load_snapshot(path) == 1
     [loaded] = reg.all_boxes()
-    encoded = reg.encode_boxes([loaded])
+    encoded = encode_boxes(reg.boxes_within_radius(loaded.centroid, 1000.0))
     assert encoded == b"[" + snapshot.encode_record(box_record(loaded)) + b"]"
     assert json.loads(encoded) == [box_record(loaded)]
     assert {k: v for k, v in json.loads(foreign).items() if k != "note"} == box_record(loaded)
@@ -483,7 +483,7 @@ def test_snapshot_whose_last_line_has_no_newline_survives_the_next_add(tmp_path)
     reloaded = Registry()
     assert reloaded.load_snapshot(path) == 3
     assert {b.id: b for b in reloaded.all_boxes()} == {b.id: b for b in (first, last, added)}
-    assert reg.encode_boxes([last]) == b"[" + last_line + b"]"
+    assert encode_boxes(reg.boxes_within_radius(last.centroid, 1000.0)) == b"[" + last_line + b"]"
 
 
 @pytest.mark.parametrize(
@@ -502,15 +502,23 @@ def test_load_names_the_bad_line_and_keeps_previous_contents(tmp_path, bad, mess
     assert reg.all_boxes() == [kept]
 
 
-def test_load_keeps_one_object_per_distinct_added_by_and_reason(tmp_path):
+def test_load_keeps_little_beyond_the_line_bytes(tmp_path):
     path = str(tmp_path / "reg.snap")
     extents = datasets.generate_extents(5_000, GeoPoint(40.0, -74.5), 50 * MILE_M, random.Random(6))
     Registry(snapshot_path=path).bulk_load(extents, added_by="operator-7", reason="seeded store", now=0.0)
+    line_bytes = sum(sys.getsizeof(line) for line in snapshot.read_snapshot(path))
     reg = Registry()
-    assert reg.load_snapshot(path) == 5_000
-    boxes = reg.all_boxes()
-    assert len({id(b.added_by) for b in boxes}) == 1
-    assert len({id(b.reason) for b in boxes}) == 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert reg.load_snapshot(path) == 5_000
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the lines are the record; the ids, the id map and the columns come to
+    # about 170 B a box, and a box object per row (with its extent, centroid
+    # and their floats) would add about 300 more
+    assert kept - line_bytes <= 250 * 5_000
 
 
 @pytest.mark.parametrize("key", ["added_by", "reason"])
@@ -557,10 +565,11 @@ def test_concurrent_queries_see_only_committed_disjoint_sets():
     def reader():
         while not stop.is_set():
             hits = reg.boxes_within_radius(GeoPoint(0.5, 0.5), 200_000.0)
-            if len({b.id for b in hits}) != len(hits) or any(
-                geo.boxes_overlap(a.extent, b.extent) for a, b in itertools.combinations(hits, 2)
+            boxes = [box_from_record(json.loads(h.line)) for h in hits]
+            if len({b.id for b in boxes}) != len(boxes) or any(
+                geo.boxes_overlap(a.extent, b.extent) for a, b in itertools.combinations(boxes, 2)
             ):
-                torn.append([b.id for b in hits])
+                torn.append([b.id for b in boxes])
 
     readers = [threading.Thread(target=reader, daemon=True) for _ in range(3)]
     interval = sys.getswitchinterval()
@@ -599,7 +608,13 @@ def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):
     writer = threading.Thread(target=lambda: added.append(add(reg, BoxExtent(5, 5, 6, 6))), daemon=True)
     reader = threading.Thread(
         target=lambda: seen.append(
-            (reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0), reg.count())
+            (
+                [
+                    box_from_record(json.loads(h.line))
+                    for h in reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0)
+                ],
+                reg.count(),
+            )
         ),
         daemon=True,
     )
@@ -700,3 +715,79 @@ def test_load_snapshot_rejects_a_bool_coordinate(tmp_path):
     snapshot.write_records(path, [dict(record, min_lon=False)])
     with pytest.raises(CorruptSnapshot, match="min_lon"):
         Registry().load_snapshot(path)
+
+
+@pytest.mark.parametrize("key, value", [("id", None), ("added_by", 5), ("reason", ["x"])])
+def test_load_snapshot_rejects_a_text_field_that_is_not_a_string(tmp_path, key, value):
+    path = str(tmp_path / "reg.snap")
+    record = box_record(add(Registry(), BoxExtent(0, 0, 1, 1)).stored)
+    snapshot.write_records(path, [dict(record, **{key: value})])
+    with pytest.raises(CorruptSnapshot, match=f"'{key}' is not a string"):
+        Registry().load_snapshot(path)
+
+
+# -- the columns -----------------------------------------------------------------
+
+
+def assert_columns_consistent(reg):
+    n = len(reg._ids)
+    assert len(reg._lat) == len(reg._lon) == len(reg._row_lines) == n and len(reg._ext) == 4 * n
+    assert list(reg._lat) == sorted(reg._lat)
+    assert len(set(reg._ids)) == n and set(reg._ids) == set(reg._lines)
+    assert reg._row_lines == [reg._lines[box_id] for box_id in reg._ids]
+    for row, line in enumerate(reg._row_lines):
+        min_lon, min_lat, max_lon, max_lat = reg._ext[4 * row : 4 * row + 4]
+        assert reg._lat[row] == (min_lat + max_lat) / 2.0
+        assert reg._lon[row] == (min_lon + max_lon) / 2.0
+        record = json.loads(line)
+        assert record["id"] == reg._ids[row]
+        assert (record["min_lon"], record["min_lat"], record["max_lon"], record["max_lat"]) == (
+            min_lon, min_lat, max_lon, max_lat,
+        )
+
+
+def test_columns_stay_sorted_aligned_and_in_step_with_the_lines():
+    rng = random.Random(31)
+    reg = Registry()
+    assert_columns_consistent(reg)
+    # equal-latitude twins, one absorbed alone and two bridged
+    for i in range(6):
+        add(reg, BoxExtent(i, 10.0, i + 0.5, 11.0))
+        assert_columns_consistent(reg)
+    assert len(add(reg, BoxExtent(2.1, 10.2, 2.2, 10.3)).replaced_ids) == 1
+    assert_columns_consistent(reg)
+    assert len(add(reg, BoxExtent(4.4, 10.4, 5.1, 10.6)).replaced_ids) == 2
+    assert_columns_consistent(reg)
+    absorbed = 0
+    for _ in range(150):
+        lon, lat = rng.uniform(0, 2), rng.uniform(0, 2)
+        extent = BoxExtent(lon, lat, lon + rng.uniform(0, 0.1), lat + rng.uniform(0, 0.1))
+        absorbed += len(add(reg, extent).replaced_ids)
+        assert_columns_consistent(reg)
+    reg.bulk_load(
+        (
+            BoxExtent(lon, lat, lon + 0.05, lat + 0.05)
+            for lon, lat in ((rng.uniform(3, 6), rng.uniform(-1, 3)) for _ in range(200))
+        ),
+        added_by="gen",
+        reason="",
+        now=0,
+    )
+    assert_columns_consistent(reg)
+    for _ in range(50):
+        lon, lat = rng.uniform(1, 5), rng.uniform(0, 2)
+        absorbed += len(add(reg, BoxExtent(lon, lat, lon + 0.2, lat + 0.2)).replaced_ids)
+        assert_columns_consistent(reg)
+    assert absorbed > 50
+
+
+def test_query_results_encode_their_lines_after_a_merge_absorbs_one():
+    reg = Registry()
+    first = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    second = add(reg, BoxExtent(3, 0, 4, 1)).stored
+    hits = reg.boxes_within_radius(GeoPoint(0.5, 2.0), 500_000.0)
+    encoded = encode_boxes(hits)
+    assert json.loads(encoded) == [box_record(first), box_record(second)]
+    assert add(reg, BoxExtent(0.5, 0.5, 2, 2)).replaced_ids == (first.id,)
+    assert first.id not in {b.id for b in reg.all_boxes()}
+    assert encode_boxes(hits) == encoded

@@ -193,7 +193,7 @@ def test_get_body_equals_the_canonical_records(live_server):
     center = GeoPoint(40.0, -74.0)
     status, raw = get_raw(live_server.url, f"lat={center.lat}&lon={center.lon}&radius_m=40233.6")
     assert status == 200
-    expected = [box_record(b) for b in reg.boxes_within_radius(center, 40233.6)]
+    expected = [json.loads(h.line) for h in reg.boxes_within_radius(center, 40233.6)]
     assert json.loads(raw) == {"boxes": expected, "count": len(awkward)}
     # compact key-sorted records: the same bytes as the snapshot lines
     for record in expected:

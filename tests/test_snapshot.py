@@ -1,6 +1,7 @@
 """Snapshot container: round trips, atomicity, and corruption detection."""
 
 import os
+import stat
 import tracemalloc
 import zlib
 
@@ -106,6 +107,28 @@ def test_failed_write_leaves_previous_file_intact(tmp_path, monkeypatch):
     assert read_records(path) == [{"id": "original"}]
     # no temp litter left behind
     assert [p for p in os.listdir(tmp_path) if p != "store.snap"] == []
+
+
+def test_the_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
+    # a power cut cannot be staged in a test; the order of the calls can be
+    path = str(tmp_path / "store.snap")
+    events = []
+    replace, fsync = os.replace, os.fsync
+
+    def recording_replace(src, dst):
+        events.append(("replace", dst))
+        return replace(src, dst)
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", (st.st_dev, st.st_ino) if stat.S_ISDIR(st.st_mode) else "file"))
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    write_records(path, [{"id": "a"}])
+    directory = os.stat(tmp_path)
+    assert events == [("fsync", "file"), ("replace", path), ("fsync", (directory.st_dev, directory.st_ino))]
 
 
 def test_last_line_without_newline_is_returned_as_it_is(tmp_path):
