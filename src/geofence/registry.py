@@ -27,7 +27,7 @@ from typing import Container, Iterable
 
 from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
-from .snapshot import CorruptSnapshot, StorageFailure
+from .snapshot import CorruptSnapshot, StorageFailure, UnsyncedRename
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +36,6 @@ class RestrictedBox:
 
     id: str
     extent: BoxExtent
-    centroid: GeoPoint
     added_by: str
     reason: str
     created_at: float  # UTC seconds
@@ -50,39 +49,30 @@ class AddOutcome:
     replaced_ids: tuple[str, ...]
 
 
-class Hit:
-    """A box a query found: its id and its canonical line, as of the query."""
-
-    __slots__ = ("id", "line")
-
-    def __init__(self, box_id: str, line: bytes) -> None:
-        self.id = box_id
-        self.line = line
-
-
 def box_record(box: RestrictedBox) -> dict:
-    """Canonical dict form of a box, used on the wire and in snapshots."""
+    """Canonical dict form of a box, used on the wire and in snapshots; the centroid is derived."""
+    centroid = geo.centroid(box.extent)
     return {
         "id": box.id,
         "min_lon": box.extent.min_lon,
         "min_lat": box.extent.min_lat,
         "max_lon": box.extent.max_lon,
         "max_lat": box.extent.max_lat,
-        "centroid_lon": box.centroid.lon,
-        "centroid_lat": box.centroid.lat,
+        "centroid_lon": centroid.lon,
+        "centroid_lat": centroid.lat,
         "added_by": box.added_by,
         "reason": box.reason,
         "created_at": box.created_at,
     }
 
 
-def encode_boxes(hits: Iterable[Hit]) -> bytes:
-    """JSON array of the hits' canonical records: their lines joined.
+def encode_boxes(lines: Iterable[bytes]) -> bytes:
+    """JSON array of canonical record lines, such as a query returns: the lines joined.
 
-    Disk and wire share one encoding. A hit carries the line it was found
-    with, so a box a concurrent merge removed is served as queried.
+    Disk and wire share one encoding. A query's lines are taken as of the
+    query, so a box a concurrent merge removed is served as queried.
     """
-    return b"[" + b",".join(hit.line for hit in hits) + b"]"
+    return b"[" + b",".join(lines) + b"]"
 
 
 # box_record's keys in sorted order, and the type of each value
@@ -111,7 +101,7 @@ def _is_canonical(line: bytes, record: dict) -> bool:
 
 
 def box_from_record(record: dict) -> RestrictedBox:
-    """Parse the canonical dict form back into a box, validating geometry."""
+    """Parse the canonical dict form back into a box, validating geometry and the centroid."""
     try:
         box = RestrictedBox(
             id=record["id"],
@@ -121,11 +111,14 @@ def box_from_record(record: dict) -> RestrictedBox:
                 max_lon=record["max_lon"],
                 max_lat=record["max_lat"],
             ),
-            centroid=GeoPoint(lat=record["centroid_lat"], lon=record["centroid_lon"]),
             added_by=record["added_by"],
             reason=record["reason"],
             created_at=float(record["created_at"]),
         )
+        mid = geo.centroid(box.extent)
+        for key, value in (("centroid_lat", mid.lat), ("centroid_lon", mid.lon)):
+            if type(record[key]) not in (int, float) or record[key] != value:
+                raise ValueError(f"box record {key} is not the midpoint of its extent: {record[key]!r}")
     except KeyError as exc:
         raise ValueError(f"box record missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -167,8 +160,8 @@ class Registry:
     latitude: the centroid latitudes and longitudes, the extents packed
     four floats a row (min_lon, min_lat, max_lon, max_lat), the ids, and
     the lines again. No box object is kept; ``all_boxes`` and ``add_box``
-    build one where a caller needs it, and a query answers with ``Hit``
-    (id, line) pairs.
+    build one where a caller needs it, and a query answers with the lines.
+    The centroid columns hold the extents' midpoints; no box carries one.
 
     Thread-safe behind two locks. A writer mutex serialises every mutator
     (``add_box``, ``bulk_load``, ``load_snapshot``); the writer does its
@@ -181,8 +174,9 @@ class Registry:
     I/O.
 
     With ``snapshot_path`` set, mutations are durable before they return and
-    nothing is applied when persisting fails; with ``audit_log_path`` set,
-    merge-absorbed boxes are appended there instead of vanishing.
+    nothing is applied when persisting fails before the snapshot's rename,
+    which commits; with ``audit_log_path`` set, merge-absorbed boxes are
+    appended there instead of vanishing.
     """
 
     def __init__(
@@ -228,8 +222,8 @@ class Registry:
             lines = self._row_lines.copy()
         return [box_from_record(json.loads(line)) for line in lines]
 
-    def boxes_within_radius(self, center: GeoPoint, radius_m: float) -> list[Hit]:
-        """Every box whose centroid is within radius_m of center (inclusive)."""
+    def boxes_within_radius(self, center: GeoPoint, radius_m: float) -> list[bytes]:
+        """The canonical line of every box whose centroid is within radius_m of center (inclusive)."""
         if not (math.isfinite(radius_m) and radius_m > 0):
             raise ValueError("radius_m must be positive")
         # meridian-arc bound: no centroid within radius_m lies outside the band
@@ -246,17 +240,17 @@ class Registry:
         with self._lock:
             lats = self._lat
             lo, hi = bisect_left(lats, lat_lo), bisect_right(lats, lat_hi)
-            band = zip(self._ids[lo:hi], self._row_lines[lo:hi], lats[lo:hi], self._lon[lo:hi])
+            band = zip(self._row_lines[lo:hi], lats[lo:hi], self._lon[lo:hi])
         lon = center.lon
         point = _Point()  # the distance call keeps no reference to it
-        hits = []
-        for box_id, line, point.lat, point.lon in band:
+        lines = []
+        for line, point.lat, point.lon in band:
             if (
                 abs((point.lon - lon + 180.0) % 360.0 - 180.0) <= lon_pad
                 and geo.haversine_distance(center, point) <= radius_m
             ):
-                hits.append(Hit(box_id, line))
-        return hits
+                lines.append(line)
+        return lines
 
     # -- adds -------------------------------------------------------------
 
@@ -294,19 +288,14 @@ class Registry:
 
         If persistence fails nothing is applied: the in-memory set, the
         snapshot on disk and the audit log all keep their previous contents.
+        The snapshot's rename is the commit point: once it has happened the
+        add is applied, and a failure after it still raises StorageFailure.
         """
         if not added_by:
             raise ValueError("added_by must be non-empty")
         with self._write_lock:
             union, absorbed = self._overlapping_group(extent)
-            stored = RestrictedBox(
-                id=self._new_id(),
-                extent=union,
-                centroid=geo.centroid(union),
-                added_by=added_by,
-                reason=reason,
-                created_at=now,
-            )
+            stored = RestrictedBox(id=self._new_id(), extent=union, added_by=added_by, reason=reason, created_at=now)
             stored_line = snapshot.encode_record(box_record(stored))
             audit_size = None
             if absorbed and self.audit_log_path:
@@ -317,28 +306,37 @@ class Registry:
                 lines.append(stored_line)
                 try:
                     snapshot.write_snapshot(self.snapshot_path, lines)
+                except UnsyncedRename:
+                    # the file holds the merge: memory and the audit log follow it
+                    self._swap_rows(absorbed, stored.id, stored_line, union)
+                    raise
                 except BaseException:
                     # the merge did not commit, so the audit log must not claim it
                     if audit_size is not None:
                         self._truncate_audit(audit_size)
                     raise
-            corners = array("d", _corners(union))
-            half_w, half_h = _half_extent_bound(corners, self._max_half_w, self._max_half_h)
-            with self._lock:
-                # descending, so each deletion leaves the rows still to go in place
-                for row in sorted(absorbed, reverse=True):
-                    del self._lines[self._ids[row]]
-                    del self._lat[row], self._lon[row], self._ext[4 * row : 4 * row + 4]
-                    del self._ids[row], self._row_lines[row]
-                self._lines[stored.id] = stored_line
-                row = bisect_right(self._lat, stored.centroid.lat)
-                self._lat.insert(row, stored.centroid.lat)
-                self._lon.insert(row, stored.centroid.lon)
-                self._ext[4 * row : 4 * row] = corners
-                self._ids.insert(row, stored.id)
-                self._row_lines.insert(row, stored_line)
-                self._max_half_w, self._max_half_h = half_w, half_h
+            self._swap_rows(absorbed, stored.id, stored_line, union)
             return AddOutcome(stored=stored, replaced_ids=tuple(sorted(absorbed.values())))
+
+    def _swap_rows(self, absorbed: Iterable[int], box_id: str, line: bytes, extent: BoxExtent) -> None:
+        """Delete the absorbed rows and insert the stored box's, under the state lock."""
+        corners = array("d", _corners(extent))
+        half_w, half_h = _half_extent_bound(corners, self._max_half_w, self._max_half_h)
+        centroid = geo.centroid(extent)
+        with self._lock:
+            # descending, so each deletion leaves the rows still to go in place
+            for row in sorted(absorbed, reverse=True):
+                del self._lines[self._ids[row]]
+                del self._lat[row], self._lon[row], self._ext[4 * row : 4 * row + 4]
+                del self._ids[row], self._row_lines[row]
+            self._lines[box_id] = line
+            row = bisect_right(self._lat, centroid.lat)
+            self._lat.insert(row, centroid.lat)
+            self._lon.insert(row, centroid.lon)
+            self._ext[4 * row : 4 * row] = corners
+            self._ids.insert(row, box_id)
+            self._row_lines.insert(row, line)
+            self._max_half_w, self._max_half_h = half_w, half_h
 
     def bulk_load(
         self,
@@ -351,28 +349,27 @@ class Registry:
 
         Fast path for benchmarks and synthetic corpora, where box counts
         must stay exact; merge semantics apply only to add_box. Snapshots
-        once at the end when bound to a path, before anything is applied.
+        once at the end when bound to a path, before anything is applied;
+        as in add_box, the rename commits.
         """
         if not added_by:
             raise ValueError("added_by must be non-empty")
         with self._write_lock:
             ext = self._ext[:]
-            lines: dict[str, bytes] = {}
+            new: dict[str, bytes] = {}
             for extent in extents:
-                box = RestrictedBox(
-                    id=self._new_id(lines),
-                    extent=extent,
-                    centroid=geo.centroid(extent),
-                    added_by=added_by,
-                    reason=reason,
-                    created_at=now,
-                )
-                lines[box.id] = snapshot.encode_record(box_record(box))
+                box = RestrictedBox(id=self._new_id(new), extent=extent, added_by=added_by, reason=reason, created_at=now)
+                new[box.id] = snapshot.encode_record(box_record(box))
                 ext.extend(_corners(extent))
-            if self.snapshot_path:
-                snapshot.write_snapshot(self.snapshot_path, [*self._lines.values(), *lines.values()])
-            self._publish({**self._lines, **lines}, self._ids + list(lines), ext)
-            return len(lines)
+            ids, lines = self._ids + list(new), {**self._lines, **new}
+            try:
+                if self.snapshot_path:
+                    snapshot.write_snapshot(self.snapshot_path, list(lines.values()))
+            except UnsyncedRename:
+                self._publish(lines, ids, ext)  # the file holds the load: memory follows it
+                raise
+            self._publish(lines, ids, ext)
+            return len(new)
 
     # -- persistence ------------------------------------------------------
 
@@ -393,14 +390,8 @@ class Registry:
                     raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
                 if box.id in lines:
                     raise CorruptSnapshot(f"{source}: duplicate box id {box.id}")
-                extent, stored = box.extent, box.centroid
-                if (
-                    stored.lat != (extent.min_lat + extent.max_lat) / 2.0
-                    or stored.lon != (extent.min_lon + extent.max_lon) / 2.0
-                ):
-                    raise CorruptSnapshot(f"{source}: box {box.id} centroid is not the midpoint of its extent")
                 lines[box.id] = line if _is_canonical(line, record) else snapshot.encode_record(box_record(box))
-                ext.extend(_corners(extent))
+                ext.extend(_corners(box.extent))
             self._publish(lines, list(lines), ext)
             return len(lines)
 
@@ -408,10 +399,9 @@ class Registry:
         """Swap in a whole new state: the id -> line map and its rows, in any order.
 
         ``ids`` and the packed extents ``ext`` give the rows; the centroid
-        columns are their extents' midpoints, which the load checked and
-        the adds computed the same way. A merged box contains every box it
-        absorbed, so the half-extent bound over the stored boxes alone is
-        the running maximum.
+        columns are their extents' midpoints, as ``geo.centroid`` computes
+        them. A merged box contains every box it absorbed, so the
+        half-extent bound over the stored boxes alone is the running maximum.
         """
         lat = _midpoints(ext[1::4], ext[3::4])
         order = sorted(range(len(ids)), key=lat.__getitem__)  # stable; an old store is one sorted run

@@ -127,14 +127,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, "not_found", f"no such endpoint: {url.path}")
             return
         try:
-            hits = self._handle_query(parse_qs(url.query))
+            lines = self._handle_query(parse_qs(url.query))
         except _ApiError as exc:
             self._send_error_json(exc.status, exc.code, exc.message)
         except Exception:
             log.exception("unhandled error in GET /v1/boxes")
             self._send_error_json(500, "internal_error", "unexpected server error")
         else:
-            self._send_body(200, b'{"boxes":%b,"count":%d}' % (encode_boxes(hits), len(hits)))
+            self._send_body(200, b'{"boxes":%b,"count":%d}' % (encode_boxes(lines), len(lines)))
 
     # -- request handling -------------------------------------------------
 

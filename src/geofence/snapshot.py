@@ -5,7 +5,8 @@ one JSON object per line. The CRC32 covers every byte after the header line,
 so truncation or bit rot is caught on load. Writes go to a temp file in the
 target directory and land with an atomic rename, and the directory is
 fsynced after it; a crash mid-save can never leave a half-written store
-behind, and once a save returns its rename is on disk too.
+behind, and once a save returns its rename is on disk too. A failure after
+the rename raises ``UnsyncedRename``: the file already holds the new records.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ _PIECE_LINES = 4096  # lines joined at a time when checksumming and writing
 
 class StorageFailure(OSError):
     """The underlying filesystem refused a read or write."""
+
+
+class UnsyncedRename(StorageFailure):
+    """The new snapshot is in place, but a crash may lose it: the directory fsync failed."""
 
 
 class CorruptSnapshot(ValueError):
@@ -51,6 +56,7 @@ def write_snapshot(path: str, lines: Sequence[bytes]) -> None:
     header = f"{MAGIC} {FORMAT_VERSION} {len(lines)} {crc:08x}\n".encode("ascii")
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
+    renamed = False
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".snapshot-", suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
@@ -59,7 +65,7 @@ def write_snapshot(path: str, lines: Sequence[bytes]) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp_path, path)
-        tmp_path = None
+        tmp_path, renamed = None, True
         # the rename is durable only once the directory entry is on disk
         dir_fd = os.open(directory, os.O_RDONLY)
         try:
@@ -67,7 +73,7 @@ def write_snapshot(path: str, lines: Sequence[bytes]) -> None:
         finally:
             os.close(dir_fd)
     except OSError as exc:
-        raise StorageFailure(f"cannot write snapshot {path}: {exc}") from exc
+        raise (UnsyncedRename if renamed else StorageFailure)(f"cannot write snapshot {path}: {exc}") from exc
     finally:
         if tmp_path is not None and os.path.exists(tmp_path):
             try:

@@ -6,6 +6,7 @@ it is skipped unless GEOFENCE_PAPER_SCALE is set in the environment. The CI
 variant at 100,000 boxes enforces the same per-box bound.
 """
 
+import json
 import math
 import os
 import random
@@ -169,14 +170,14 @@ def test_criterion_4_index_transparency():
         datasets.generate_extents(10_000, center, 200_000.0, rng),
         added_by="gen", reason="", now=0,
     )
-    scan = [(b.id, b.centroid) for b in reg.all_boxes()]
+    scan = [(b.id, geo.centroid(b.extent)) for b in reg.all_boxes()]
     assert len(scan) == 10_000
     mismatches = 0
     for _ in range(1000):
         q = geo.destination(center, rng.uniform(0, 360), rng.uniform(0, 300_000.0))
         radius = rng.uniform(1_000.0, 150_000.0)
         expected = {bid for bid, c in scan if geo.haversine_distance(q, c) <= radius}
-        got = {b.id for b in reg.boxes_within_radius(q, radius)}
+        got = {json.loads(line)["id"] for line in reg.boxes_within_radius(q, radius)}
         if got != expected:
             mismatches += 1
     assert mismatches == 0

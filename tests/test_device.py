@@ -37,7 +37,6 @@ def cached_box(extent, box_id="box-1"):
     return device.RestrictedBox(
         id=box_id,
         extent=extent,
-        centroid=geo.centroid(extent),
         added_by="t",
         reason="",
         created_at=0.0,
@@ -393,7 +392,7 @@ def test_fetch_boxes_rejection_carries_status(live_server):
     assert excinfo.value.status == 400
 
 
-@pytest.mark.parametrize("key, value", [("min_lat", True), ("created_at", "12")])
+@pytest.mark.parametrize("key, value", [("min_lat", True), ("created_at", "12"), ("centroid_lat", 40.001)])
 def test_fetch_boxes_rejects_a_record_with_a_bool_coordinate_or_text_time(monkeypatch, key, value):
     record = device.box_record(cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01)))
     body = json.dumps({"boxes": [dict(record, **{key: value})]}).encode()
@@ -500,7 +499,7 @@ def test_cache_load_names_the_bad_line(tmp_path, bad, message):
         device.cache_load(path)
 
 
-@pytest.mark.parametrize("key, value", [("max_lon", False), ("created_at", "0")])
+@pytest.mark.parametrize("key, value", [("max_lon", False), ("created_at", "0"), ("centroid_lat", 40.001)])
 def test_cache_load_rejects_a_box_with_a_bool_coordinate_or_text_time(tmp_path, key, value):
     path = str(tmp_path / "cache.snap")
     device.cache_save(fresh_state(boxes=[cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01))]), path)

@@ -1,8 +1,11 @@
 """Registry: merge-on-add semantics, vicinity queries, persistence, audit."""
 
+import errno
 import itertools
 import json
+import os
 import random
+import stat
 import sys
 import threading
 import tracemalloc
@@ -21,6 +24,11 @@ def add(reg, extent, now=1000.0, added_by="tester", reason="test"):
 
 def extents(reg):
     return {b.extent for b in reg.all_boxes()}
+
+
+def query_ids(reg, center, radius):
+    """The ids of a radius query's boxes, parsed from the lines it returns."""
+    return [json.loads(line)["id"] for line in reg.boxes_within_radius(center, radius)]
 
 
 # -- add and merge -----------------------------------------------------------
@@ -93,7 +101,9 @@ def test_added_by_must_be_non_empty():
 def test_stored_centroid_matches_extent():
     reg = Registry()
     outcome = add(reg, BoxExtent(10, 20, 14, 26))
-    assert outcome.stored.centroid == geo.centroid(outcome.stored.extent)
+    [line] = reg.boxes_within_radius(GeoPoint(23.0, 12.0), 1.0)
+    record = json.loads(line)
+    assert GeoPoint(record["centroid_lat"], record["centroid_lon"]) == geo.centroid(outcome.stored.extent)
 
 
 def test_audit_fields_come_from_latest_caller():
@@ -159,8 +169,7 @@ def test_radius_query_includes_near_and_excludes_far():
     reg = Registry()
     near = add(reg, box_with_centroid_at(center, 90.0, 10 * MILE_M)).stored
     far = add(reg, box_with_centroid_at(center, 270.0, 30 * MILE_M)).stored
-    hits = reg.boxes_within_radius(center, 25 * MILE_M)
-    ids = {b.id for b in hits}
+    ids = set(query_ids(reg, center, 25 * MILE_M))
     assert near.id in ids
     assert far.id not in ids
 
@@ -169,8 +178,8 @@ def test_radius_query_is_inclusive_at_the_boundary():
     center = GeoPoint(10.0, 10.0)
     reg = Registry()
     stored = add(reg, BoxExtent(10.5, 10.0, 10.7, 10.0)).stored
-    exact = geo.haversine_distance(center, stored.centroid)
-    assert [b.id for b in reg.boxes_within_radius(center, exact)] == [stored.id]
+    exact = geo.haversine_distance(center, geo.centroid(stored.extent))
+    assert query_ids(reg, center, exact) == [stored.id]
 
 
 def test_radius_query_rejects_non_positive_radius():
@@ -182,8 +191,8 @@ def test_radius_query_rejects_non_positive_radius():
 
 
 def assert_query_matches_scan(reg, center, radius):
-    expected = {b.id for b in reg.all_boxes() if geo.haversine_distance(center, b.centroid) <= radius}
-    got = [b.id for b in reg.boxes_within_radius(center, radius)]
+    expected = {b.id for b in reg.all_boxes() if geo.haversine_distance(center, geo.centroid(b.extent)) <= radius}
+    got = query_ids(reg, center, radius)
     assert len(got) == len(set(got))
     assert set(got) == expected
     return expected
@@ -224,7 +233,7 @@ def test_radius_query_matches_linear_scan_oracle():
             assert_query_matches_scan(reg, center, 10 ** rng.uniform(0.0, 7.33))
             # a radius exactly equal to one centroid's distance includes it
             box = rng.choice(boxes)
-            exact = geo.haversine_distance(center, box.centroid)
+            exact = geo.haversine_distance(center, geo.centroid(box.extent))
             if exact > 0:
                 assert box.id in assert_query_matches_scan(reg, center, exact)
 
@@ -232,12 +241,12 @@ def test_radius_query_matches_linear_scan_oracle():
 def test_merge_absorbs_one_of_twins_with_equal_centroid_latitudes():
     reg = Registry()
     twins = [add(reg, BoxExtent(i, 10.0, i + 0.5, 11.0)).stored for i in range(6)]
-    assert len({b.centroid.lat for b in twins}) == 1
+    assert len({geo.centroid(b.extent).lat for b in twins}) == 1
     centers = [GeoPoint(10.5, 2.0), GeoPoint(10.5, 0.0), GeoPoint(-5.0, 3.0)]
     # inside twin 2 only: the stored box replaces it, at the same latitude
     inner = add(reg, BoxExtent(2.1, 10.2, 2.2, 10.3))
     assert inner.replaced_ids == (twins[2].id,)
-    assert inner.stored.centroid.lat == twins[2].centroid.lat
+    assert geo.centroid(inner.stored.extent).lat == geo.centroid(twins[2].extent).lat
     # bridging twins 4 and 5
     bridge = add(reg, BoxExtent(4.4, 10.4, 5.1, 10.6))
     assert bridge.replaced_ids == tuple(sorted((twins[4].id, twins[5].id)))
@@ -248,7 +257,7 @@ def test_merge_absorbs_one_of_twins_with_equal_centroid_latitudes():
     # the survivors still merge: one add over every box at that latitude
     everything = add(reg, BoxExtent(-1.0, 10.5, 7.0, 10.5))
     assert len(everything.replaced_ids) == 5 and reg.count() == 1
-    assert [b.id for b in reg.boxes_within_radius(GeoPoint(10.5, 3.0), 1_000_000.0)] == [everything.stored.id]
+    assert query_ids(reg, GeoPoint(10.5, 3.0), 1_000_000.0) == [everything.stored.id]
 
 
 def test_bulk_load_into_a_non_empty_registry_then_query_and_merge():
@@ -286,8 +295,7 @@ def test_radius_query_finds_centroids_across_the_antimeridian():
     reg = Registry()
     west = add(reg, BoxExtent(179.5, 0, 179.9, 0.4)).stored
     east = add(reg, BoxExtent(-179.9, 0, -179.5, 0.4)).stored
-    hits = reg.boxes_within_radius(GeoPoint(0.2, 179.9), 100_000.0)
-    assert {b.id for b in hits} == {west.id, east.id}
+    assert set(query_ids(reg, GeoPoint(0.2, 179.9), 100_000.0)) == {west.id, east.id}
 
 
 # -- counting ------------------------------------------------------------------
@@ -391,7 +399,7 @@ def test_corrupt_snapshot_load_keeps_previous_contents(tmp_path):
 def test_load_snapshot_rejects_a_centroid_off_its_extent_midpoint(tmp_path):
     path = str(tmp_path / "shifted.snap")
     good = add(Registry(), BoxExtent(5, 5, 6, 6)).stored
-    shifted = dict(box_record(good), centroid_lat=good.centroid.lat + 0.25)
+    shifted = dict(box_record(good), centroid_lat=geo.centroid(good.extent).lat + 0.25)
     other = box_record(add(Registry(), BoxExtent(8, 8, 9, 9)).stored)
     snapshot.write_records(path, [other, shifted])
     reg = Registry()
@@ -408,12 +416,12 @@ def test_encode_boxes_joins_the_snapshot_lines(tmp_path):
     for i in range(60):
         lon, lat = rng.uniform(-1, 1), rng.uniform(-1, 1)
         add(reg, BoxExtent(lon, lat, lon + rng.uniform(0, 0.2), lat + rng.uniform(0, 0.2)), reason=f"r{i}")
-    hits = reg.boxes_within_radius(GeoPoint(0, 0), 100_000.0)
-    assert hits
-    encoded = encode_boxes(hits)
-    assert json.loads(encoded) == [json.loads(h.line) for h in hits]
+    lines = reg.boxes_within_radius(GeoPoint(0, 0), 100_000.0)
+    assert lines
+    encoded = encode_boxes(lines)
+    assert json.loads(encoded) == [json.loads(line) for line in lines]
     on_disk = {json.loads(line)["id"]: line + b"\n" for line in open(path, "rb").read().splitlines()[1:]}
-    assert encoded == b"[" + b",".join(on_disk[h.id] for h in hits) + b"]"
+    assert encoded == b"[" + b",".join(on_disk[json.loads(line)["id"]] for line in lines) + b"]"
     assert encode_boxes([]) == b"[]"
 
 
@@ -434,9 +442,10 @@ def test_load_keeps_a_canonical_line_byte_for_byte(tmp_path, live_server_factory
     snapshot.write_snapshot(path, [own])
     reg = Registry()
     assert reg.load_snapshot(path) == 1
-    assert encode_boxes(reg.boxes_within_radius(box.centroid, 1000.0)) == b"[" + own + b"]"
+    centroid = geo.centroid(box.extent)
+    assert encode_boxes(reg.boxes_within_radius(centroid, 1000.0)) == b"[" + own + b"]"
     server = live_server_factory(registry=reg)
-    query = f"lat={box.centroid.lat}&lon={box.centroid.lon}&radius_m=1000"
+    query = f"lat={centroid.lat}&lon={centroid.lon}&radius_m=1000"
     status, body = device.http_request("GET", f"{server.url}/v1/boxes?{query}")
     assert status == 200
     assert own in body
@@ -466,7 +475,7 @@ def test_load_re_encodes_a_line_that_is_not_canonical(tmp_path, how):
     reg = Registry()
     assert reg.load_snapshot(path) == 1
     [loaded] = reg.all_boxes()
-    encoded = encode_boxes(reg.boxes_within_radius(loaded.centroid, 1000.0))
+    encoded = encode_boxes(reg.boxes_within_radius(geo.centroid(loaded.extent), 1000.0))
     assert encoded == b"[" + snapshot.encode_record(box_record(loaded)) + b"]"
     assert json.loads(encoded) == [box_record(loaded)]
     assert {k: v for k, v in json.loads(foreign).items() if k != "note"} == box_record(loaded)
@@ -483,7 +492,7 @@ def test_snapshot_whose_last_line_has_no_newline_survives_the_next_add(tmp_path)
     reloaded = Registry()
     assert reloaded.load_snapshot(path) == 3
     assert {b.id: b for b in reloaded.all_boxes()} == {b.id: b for b in (first, last, added)}
-    assert encode_boxes(reg.boxes_within_radius(last.centroid, 1000.0)) == b"[" + last_line + b"]"
+    assert encode_boxes(reg.boxes_within_radius(geo.centroid(last.extent), 1000.0)) == b"[" + last_line + b"]"
 
 
 @pytest.mark.parametrize(
@@ -550,7 +559,7 @@ def test_load_snapshot_peak_memory_stays_near_what_it_keeps(tmp_path):
 
 def test_box_classes_have_no_instance_dict():
     outcome = add(Registry(), BoxExtent(0, 0, 1, 1))
-    for value in (outcome, outcome.stored, outcome.stored.extent, outcome.stored.centroid):
+    for value in (outcome, outcome.stored, outcome.stored.extent, geo.centroid(outcome.stored.extent)):
         assert not hasattr(value, "__dict__"), type(value).__name__
 
 
@@ -564,8 +573,8 @@ def test_concurrent_queries_see_only_committed_disjoint_sets():
 
     def reader():
         while not stop.is_set():
-            hits = reg.boxes_within_radius(GeoPoint(0.5, 0.5), 200_000.0)
-            boxes = [box_from_record(json.loads(h.line)) for h in hits]
+            lines = reg.boxes_within_radius(GeoPoint(0.5, 0.5), 200_000.0)
+            boxes = [box_from_record(json.loads(line)) for line in lines]
             if len({b.id for b in boxes}) != len(boxes) or any(
                 geo.boxes_overlap(a.extent, b.extent) for a, b in itertools.combinations(boxes, 2)
             ):
@@ -610,8 +619,8 @@ def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):
         target=lambda: seen.append(
             (
                 [
-                    box_from_record(json.loads(h.line))
-                    for h in reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0)
+                    box_from_record(json.loads(line))
+                    for line in reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0)
                 ],
                 reg.count(),
             )
@@ -633,7 +642,7 @@ def test_reader_does_not_wait_on_snapshot_write(tmp_path, monkeypatch):
         reader.join(timeout=10.0)
     assert not writer.is_alive()
     stored = added[0].stored
-    assert {b.id for b in reg.boxes_within_radius(GeoPoint(3.0, 3.0), 2_000_000.0)} == {first.id, stored.id}
+    assert set(query_ids(reg, GeoPoint(3.0, 3.0), 2_000_000.0)) == {first.id, stored.id}
     reloaded = Registry()
     assert reloaded.load_snapshot(path) == 2
     assert {b.id for b in reloaded.all_boxes()} == {first.id, stored.id}
@@ -650,6 +659,57 @@ def test_failed_merge_leaves_audit_log_unchanged(tmp_path):
         add(reg, BoxExtent(1.5, 1.5, 3, 3))  # would absorb the merged box
     assert reg.all_boxes() == [merged]
     assert audit.read_bytes() == before
+
+
+def _fail_directory_fsyncs(monkeypatch):
+    """Make os.fsync raise EIO on a directory, after a snapshot's rename; files still sync."""
+    fsync = os.fsync
+
+    def failing_fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "injected directory fsync failure")
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+
+
+def assert_memory_matches_the_file(reg, path):
+    on_disk = Registry()
+    on_disk.load_snapshot(path)
+    assert list(reg._lines.items()) == list(on_disk._lines.items())
+    assert_columns_consistent(reg)
+
+
+def test_merge_whose_directory_fsync_fails_matches_the_renamed_snapshot(tmp_path, monkeypatch):
+    path, audit = str(tmp_path / "reg.snap"), tmp_path / "reg.audit"
+    reg = Registry(snapshot_path=path, audit_log_path=str(audit))
+    first = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    add(reg, BoxExtent(5, 5, 6, 6))
+    _fail_directory_fsyncs(monkeypatch)
+    with pytest.raises(StorageFailure):
+        add(reg, BoxExtent(0.5, 0.5, 2, 2), now=2000.0)  # absorbs first
+    monkeypatch.undo()
+    # the rename committed the merge: memory and the audit log follow the file
+    assert_memory_matches_the_file(reg, path)
+    [merged] = [b for b in reg.all_boxes() if b.extent == BoxExtent(0, 0, 2, 2)]
+    [entry] = [json.loads(line) for line in audit.read_bytes().splitlines()]
+    assert (entry["box"]["id"], entry["merged_into"], entry["at"]) == (first.id, merged.id, 2000.0)
+    # and the next add starts from it
+    add(reg, BoxExtent(1.5, 1.5, 3, 3))
+    assert_memory_matches_the_file(reg, path)
+    assert reg.count() == 2
+
+
+def test_bulk_load_whose_directory_fsync_fails_matches_the_renamed_snapshot(tmp_path, monkeypatch):
+    path = str(tmp_path / "reg.snap")
+    reg = Registry(snapshot_path=path)
+    add(reg, BoxExtent(0, 0, 1, 1))
+    _fail_directory_fsyncs(monkeypatch)
+    with pytest.raises(StorageFailure):
+        reg.bulk_load([BoxExtent(5, 5, 6, 6), BoxExtent(7, 7, 8, 8)], added_by="gen", reason="", now=0.0)
+    monkeypatch.undo()
+    assert_memory_matches_the_file(reg, path)
+    assert reg.count() == 3
 
 
 def test_audit_log_records_absorbed_boxes(tmp_path):
@@ -698,7 +758,7 @@ def test_box_from_record_rejects_missing_fields():
     "key, value, message",
     [
         ("min_lon", True, "min_lon must be"),
-        ("centroid_lat", False, "lat must be"),
+        ("centroid_lat", False, "centroid_lat is not the midpoint"),
         ("created_at", "12", "created_at"),
         ("created_at", True, "created_at"),
     ],
@@ -785,9 +845,9 @@ def test_query_results_encode_their_lines_after_a_merge_absorbs_one():
     reg = Registry()
     first = add(reg, BoxExtent(0, 0, 1, 1)).stored
     second = add(reg, BoxExtent(3, 0, 4, 1)).stored
-    hits = reg.boxes_within_radius(GeoPoint(0.5, 2.0), 500_000.0)
-    encoded = encode_boxes(hits)
+    lines = reg.boxes_within_radius(GeoPoint(0.5, 2.0), 500_000.0)
+    encoded = encode_boxes(lines)
     assert json.loads(encoded) == [box_record(first), box_record(second)]
     assert add(reg, BoxExtent(0.5, 0.5, 2, 2)).replaced_ids == (first.id,)
     assert first.id not in {b.id for b in reg.all_boxes()}
-    assert encode_boxes(hits) == encoded
+    assert encode_boxes(lines) == encoded

@@ -193,7 +193,7 @@ def test_get_body_equals_the_canonical_records(live_server):
     center = GeoPoint(40.0, -74.0)
     status, raw = get_raw(live_server.url, f"lat={center.lat}&lon={center.lon}&radius_m=40233.6")
     assert status == 200
-    expected = [json.loads(h.line) for h in reg.boxes_within_radius(center, 40233.6)]
+    expected = [json.loads(line) for line in reg.boxes_within_radius(center, 40233.6)]
     assert json.loads(raw) == {"boxes": expected, "count": len(awkward)}
     # compact key-sorted records: the same bytes as the snapshot lines
     for record in expected:
@@ -206,9 +206,9 @@ def test_get_serves_a_box_merged_away_after_the_query(live_server):
     query = reg.boxes_within_radius
 
     def query_then_merge(center, radius_m):
-        hits = query(center, radius_m)
+        lines = query(center, radius_m)
         reg.add_box(BoxExtent(-73.995, 40.005, -73.98, 40.02), "op", "merge", now=2.0)
-        return hits
+        return lines
 
     reg.boxes_within_radius = query_then_merge
     status, body = get_boxes(live_server.url, "lat=40&lon=-74&radius_m=10000")
@@ -288,7 +288,7 @@ def test_http_layer_adds_no_semantics(live_server_factory):
         )
         assert status == 200
         assert body["count"] == len(body["boxes"])
-        expected_ids = {b.id for b in mirror.boxes_within_radius(center, radius)}
+        expected_ids = {json.loads(line)["id"] for line in mirror.boxes_within_radius(center, radius)}
         assert {b["id"] for b in body["boxes"]} == expected_ids
 
 

@@ -1,5 +1,6 @@
 """Snapshot container: round trips, atomicity, and corruption detection."""
 
+import errno
 import os
 import stat
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from geofence.snapshot import (
     CorruptSnapshot,
     StorageFailure,
+    UnsyncedRename,
     encode_record,
     parse_line,
     read_snapshot,
@@ -129,6 +131,27 @@ def test_the_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
     write_records(path, [{"id": "a"}])
     directory = os.stat(tmp_path)
     assert events == [("fsync", "file"), ("replace", path), ("fsync", (directory.st_dev, directory.st_ino))]
+
+
+@pytest.mark.parametrize("on_directory", [False, True], ids=["file fsync", "directory fsync"])
+def test_a_failed_fsync_says_whether_the_rename_happened(tmp_path, monkeypatch, on_directory):
+    path = str(tmp_path / "store.snap")
+    write_records(path, [{"id": "original"}])
+    fsync = os.fsync
+
+    def failing_fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode) == on_directory:
+            raise OSError(errno.EIO, "injected fsync failure")
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(StorageFailure) as excinfo:
+        write_records(path, [{"id": "replacement"}])
+    monkeypatch.undo()
+    # after the rename the file holds the new records, and the error says so
+    assert isinstance(excinfo.value, UnsyncedRename) == on_directory
+    assert read_records(path) == [{"id": "replacement" if on_directory else "original"}]
+    assert os.listdir(tmp_path) == ["store.snap"]
 
 
 def test_last_line_without_newline_is_returned_as_it_is(tmp_path):
