@@ -27,7 +27,7 @@ from urllib.parse import urlencode
 
 from . import geo, snapshot
 from .geo import GeoPoint, MILE_M
-from .registry import RestrictedBox, box_from_record, box_record
+from .registry import RestrictedBox, box_from_record, box_record, collector_paused
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -238,8 +238,8 @@ def fetch_boxes(
     if not 200 <= status < 300:
         raise ServerRejected(status, body.decode("utf-8", errors="replace"))
     try:
-        records = json.loads(body)["boxes"]
-        return [box_from_record(r) for r in records]
+        with collector_paused():
+            return [box_from_record(r) for r in json.loads(body)["boxes"]]
     except (KeyError, TypeError, ValueError, geo.InvalidCoordinate) as exc:
         raise FetchFailed(f"cannot decode response: {exc}") from exc
 
@@ -302,7 +302,8 @@ def cache_load(path: str) -> DeviceState:
             ),
             coverage_radius_m=float(radius),
         )
-        state.cache = [box_from_record(r) for r in records[1:]]
+        with collector_paused():
+            state.cache = [box_from_record(r) for r in records[1:]]
     except (TypeError, ValueError, geo.InvalidCoordinate) as exc:
         raise CorruptSnapshot(f"{path}: bad device cache record: {exc}") from exc
     return state

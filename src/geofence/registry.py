@@ -14,16 +14,20 @@ are preserved in an append-only audit log.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import random
+import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Container, Iterable
+from operator import itemgetter
+from typing import Container, Iterable, Iterator
 
 from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
@@ -81,6 +85,7 @@ _RECORD_KEYS = (
     "max_lat", "max_lon", "min_lat", "min_lon", "reason",
 )
 _RECORD_TYPES = (str, float, float, float, str, float, float, float, float, str)
+_fields = itemgetter(*_RECORD_KEYS)
 
 
 def _is_canonical(line: bytes, record: dict) -> bool:
@@ -101,34 +106,37 @@ def _is_canonical(line: bytes, record: dict) -> bool:
 
 
 def box_from_record(record: dict) -> RestrictedBox:
-    """Parse the canonical dict form back into a box, validating geometry and the centroid."""
+    """Parse the canonical dict form back into a box, validating geometry, the centroid and the types."""
     try:
-        box = RestrictedBox(
-            id=record["id"],
-            extent=BoxExtent(
-                min_lon=record["min_lon"],
-                min_lat=record["min_lat"],
-                max_lon=record["max_lon"],
-                max_lat=record["max_lat"],
-            ),
-            added_by=record["added_by"],
-            reason=record["reason"],
-            created_at=float(record["created_at"]),
-        )
-        mid = geo.centroid(box.extent)
-        for key, value in (("centroid_lat", mid.lat), ("centroid_lon", mid.lon)):
-            if type(record[key]) not in (int, float) or record[key] != value:
-                raise ValueError(f"box record {key} is not the midpoint of its extent: {record[key]!r}")
+        added_by, mid_lat, mid_lon, created_at, box_id, max_lat, max_lon, min_lat, min_lon, reason = _fields(record)
+        extent = BoxExtent(min_lon, min_lat, max_lon, max_lat)
     except KeyError as exc:
         raise ValueError(f"box record missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"box record has a non-numeric field: {exc}") from exc
-    if type(record["created_at"]) not in (int, float):  # float() would take "12" or True
-        raise ValueError(f"box record has a non-numeric created_at: {record['created_at']!r}")
-    for key in ("id", "added_by", "reason"):
-        if type(record[key]) is not str:
-            raise ValueError(f"box record field {key!r} is not a string: {record[key]!r}")
-    return box
+    if type(mid_lat) not in (int, float) or mid_lat != (min_lat + max_lat) / 2.0:
+        raise ValueError(f"box record centroid_lat is not the midpoint of its extent: {mid_lat!r}")
+    if type(mid_lon) not in (int, float) or mid_lon != (min_lon + max_lon) / 2.0:
+        raise ValueError(f"box record centroid_lon is not the midpoint of its extent: {mid_lon!r}")
+    # float() would take "12" or True; NaN, an infinity and an int too large for a float fail the bound
+    if type(created_at) not in (int, float) or not abs(created_at) <= sys.float_info.max:
+        raise ValueError(f"box record has a non-numeric or non-finite created_at: {created_at!r}")
+    if type(box_id) is not str or type(added_by) is not str or type(reason) is not str:
+        key = "id" if type(box_id) is not str else "added_by" if type(added_by) is not str else "reason"
+        raise ValueError(f"box record field {key!r} is not a string: {record[key]!r}")
+    return RestrictedBox(box_id, extent, added_by, reason, float(created_at))
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause cyclic GC, process-wide, for a decode, whose objects all stay alive; re-enable only if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Point:
@@ -220,7 +228,8 @@ class Registry:
         """Every stored box, parsed from its line, in centroid-latitude order; callers need no order."""
         with self._lock:
             lines = self._row_lines.copy()
-        return [box_from_record(json.loads(line)) for line in lines]
+        with collector_paused():
+            return [box_from_record(json.loads(line)) for line in lines]
 
     def boxes_within_radius(self, center: GeoPoint, radius_m: float) -> list[bytes]:
         """The canonical line of every box whose centroid is within radius_m of center (inclusive)."""

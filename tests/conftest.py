@@ -1,5 +1,6 @@
 """Shared fixtures: loopback service instances bound to ephemeral ports."""
 
+import gc
 import random
 import threading
 
@@ -49,3 +50,25 @@ def live_server_factory():
 @pytest.fixture
 def live_server(live_server_factory):
     return live_server_factory()
+
+
+@pytest.fixture
+def gc_starts():
+    """The generation of each cyclic collection started during the test, in order.
+
+    The collector's on/off state is restored afterwards, so a test may set it.
+    """
+    enabled = gc.isenabled()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    yield starts
+    gc.callbacks.remove(count)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

@@ -1,10 +1,12 @@
 """Device state machine: refresh triggers, capture gate, cache persistence."""
 
 import ast
+import gc
 import glob
 import json
 import os
 import random
+import types
 
 import pytest
 
@@ -392,7 +394,16 @@ def test_fetch_boxes_rejection_carries_status(live_server):
     assert excinfo.value.status == 400
 
 
-@pytest.mark.parametrize("key, value", [("min_lat", True), ("created_at", "12"), ("centroid_lat", 40.001)])
+# a created_at no float holds, as json.dumps writes it: the non-JSON NaN token, or all 401 digits
+NON_FINITE_TIMES = [
+    pytest.param("created_at", float("nan"), id="created_at-nan"),
+    pytest.param("created_at", 10**400, id="created_at-int too large"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("min_lat", True), ("created_at", "12"), ("centroid_lat", 40.001), *NON_FINITE_TIMES]
+)
 def test_fetch_boxes_rejects_a_record_with_a_bool_coordinate_or_text_time(monkeypatch, key, value):
     record = device.box_record(cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01)))
     body = json.dumps({"boxes": [dict(record, **{key: value})]}).encode()
@@ -412,6 +423,52 @@ def test_fetch_boxes_rejects_a_record_whose_text_field_is_not_a_string(monkeypat
     monkeypatch.setattr(device, "http_request", lambda *args, **kwargs: (200, body))
     with pytest.raises(FetchFailed, match=f"'{key}' is not a string"):
         device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)
+
+
+def many_boxes(n):
+    """n disjoint small boxes near HOME."""
+    return [cached_box(BoxExtent(-74.0 + i * 1e-5, 40.0, -73.999999 + i * 1e-5, 40.000001), f"b{i}") for i in range(n)]
+
+
+def serve_records(monkeypatch, records):
+    body = json.dumps({"boxes": records}).encode()
+    monkeypatch.setattr(device, "http_request", lambda *args, **kwargs: (200, body))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fetch_boxes_leaves_the_collector_as_it_found_it(monkeypatch, gc_starts, enabled):
+    records = [device.box_record(b) for b in many_boxes(50)]
+    serve_records(monkeypatch, records)
+    (gc.enable if enabled else gc.disable)()
+    assert len(device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)) == 50
+    assert gc.isenabled() is enabled
+    records[25]["min_lat"] = True
+    serve_records(monkeypatch, records)
+    with pytest.raises(FetchFailed, match="min_lat"):
+        device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)
+    assert gc.isenabled() is enabled
+
+
+def test_fetch_boxes_starts_no_collection_while_it_decodes(monkeypatch, gc_starts):
+    serve_records(monkeypatch, [device.box_record(b) for b in many_boxes(5000)])
+    build = device.box_from_record
+    seen = []  # collections started so far: at the parse, then as each box is built
+
+    def watched_loads(body):
+        seen.append(len(gc_starts))
+        return json.loads(body)
+
+    def watched(record):
+        box = build(record)
+        seen.append(len(gc_starts))
+        return box
+
+    # the parse is called as device.json.loads, as perfbench's tracer relies on
+    monkeypatch.setattr(device, "json", types.SimpleNamespace(loads=watched_loads))
+    monkeypatch.setattr(device, "box_from_record", watched)
+    gc.enable()
+    assert len(device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)) == 5000
+    assert len(seen) == 5001 and seen[-1] == seen[0]
 
 
 # -- http_request ----------------------------------------------------------------
@@ -499,7 +556,9 @@ def test_cache_load_names_the_bad_line(tmp_path, bad, message):
         device.cache_load(path)
 
 
-@pytest.mark.parametrize("key, value", [("max_lon", False), ("created_at", "0"), ("centroid_lat", 40.001)])
+@pytest.mark.parametrize(
+    "key, value", [("max_lon", False), ("created_at", "0"), ("centroid_lat", 40.001), *NON_FINITE_TIMES]
+)
 def test_cache_load_rejects_a_box_with_a_bool_coordinate_or_text_time(tmp_path, key, value):
     path = str(tmp_path / "cache.snap")
     device.cache_save(fresh_state(boxes=[cached_box(BoxExtent(-74.01, 39.99, -73.99, 40.01))]), path)
@@ -519,6 +578,38 @@ def test_cache_load_rejects_a_box_whose_text_field_is_not_a_string(tmp_path, key
     snapshot.write_snapshot(path, [head, bad])
     with pytest.raises(CorruptSnapshot, match=f"'{key}' is not a string"):
         device.cache_load(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cache_load_leaves_the_collector_as_it_found_it(tmp_path, gc_starts, enabled):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(fresh_state(boxes=many_boxes(50)), path)
+    (gc.enable if enabled else gc.disable)()
+    assert len(device.cache_load(path).cache) == 50
+    assert gc.isenabled() is enabled
+    lines = snapshot.read_snapshot(path)
+    lines[25] = snapshot.encode_record(dict(json.loads(lines[25]), max_lon=False))
+    snapshot.write_snapshot(path, lines)
+    with pytest.raises(CorruptSnapshot, match="max_lon"):
+        device.cache_load(path)
+    assert gc.isenabled() is enabled
+
+
+def test_cache_load_starts_no_collection_while_it_builds(tmp_path, monkeypatch, gc_starts):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(fresh_state(boxes=many_boxes(5000)), path)
+    build = device.box_from_record
+    seen = []  # collections started so far, as each box is built
+
+    def watched(record):
+        box = build(record)
+        seen.append(len(gc_starts))
+        return box
+
+    monkeypatch.setattr(device, "box_from_record", watched)
+    gc.enable()
+    assert len(device.cache_load(path).cache) == 5000
+    assert len(seen) == 5000 and seen[-1] == seen[0]
 
 
 def test_cache_file_contains_exactly_one_fix(tmp_path):

@@ -1,8 +1,10 @@
 """Registry: merge-on-add semantics, vicinity queries, persistence, audit."""
 
 import errno
+import gc
 import itertools
 import json
+import math
 import os
 import random
 import stat
@@ -12,9 +14,9 @@ import tracemalloc
 
 import pytest
 
-from geofence import datasets, device, geo, snapshot
+from geofence import datasets, device, geo, registry, snapshot
 from geofence.geo import MILE_M, BoxExtent, GeoPoint
-from geofence.registry import Registry, box_from_record, box_record, encode_boxes
+from geofence.registry import Registry, RestrictedBox, box_from_record, box_record, encode_boxes
 from geofence.snapshot import CorruptSnapshot, StorageFailure
 
 
@@ -761,6 +763,10 @@ def test_box_from_record_rejects_missing_fields():
         ("centroid_lat", False, "centroid_lat is not the midpoint"),
         ("created_at", "12", "created_at"),
         ("created_at", True, "created_at"),
+        ("created_at", math.nan, "non-finite created_at"),
+        ("created_at", math.inf, "non-finite created_at"),
+        ("created_at", -math.inf, "non-finite created_at"),
+        pytest.param("created_at", 10**400, "non-finite created_at", id="created_at-int too large"),
     ],
 )
 def test_box_from_record_rejects_a_bool_coordinate_or_a_non_numeric_time(key, value, message):
@@ -784,6 +790,125 @@ def test_load_snapshot_rejects_a_text_field_that_is_not_a_string(tmp_path, key, 
     snapshot.write_records(path, [dict(record, **{key: value})])
     with pytest.raises(CorruptSnapshot, match=f"'{key}' is not a string"):
         Registry().load_snapshot(path)
+
+
+def random_record(rng):
+    """A valid record in box_record's key order: int and float values, -0.0, the range limits, degenerate boxes."""
+
+    def coord(limit):
+        pick = rng.random()
+        if pick < 0.1:
+            return rng.choice((-limit, limit, -float(limit), float(limit)))
+        if pick < 0.2:
+            return rng.choice((0, 0.0, -0.0))
+        if pick < 0.4:
+            return rng.randint(-limit, limit)
+        return rng.uniform(-limit, limit)
+
+    lons, lats = sorted((coord(180), coord(180))), sorted((coord(90), coord(90)))
+    if rng.random() < 0.1:
+        lons[1] = lons[0]
+    if rng.random() < 0.1:
+        lats[1] = lats[0]
+    return {
+        "id": f"{rng.getrandbits(64):016x}",
+        "min_lon": lons[0], "min_lat": lats[0], "max_lon": lons[1], "max_lat": lats[1],
+        "centroid_lon": (lons[0] + lons[1]) / 2.0, "centroid_lat": (lats[0] + lats[1]) / 2.0,
+        "added_by": rng.choice(("op", "ops team", "")), "reason": rng.choice(("", "base", "a b c")),
+        "created_at": rng.choice((rng.randint(0, 2**40), rng.uniform(0, 2e9), 0, -0.0)),
+    }
+
+
+def test_box_from_record_equals_the_box_built_directly_on_seeded_records():
+    rng = random.Random(1507)
+    for _ in range(2000):
+        record = random_record(rng)
+        expected = RestrictedBox(
+            record["id"],
+            BoxExtent(record["min_lon"], record["min_lat"], record["max_lon"], record["max_lat"]),
+            record["added_by"],
+            record["reason"],
+            float(record["created_at"]),
+        )
+        box = box_from_record(record)
+        # repr tells -0.0 from 0.0 and an int from a float, which == does not
+        assert box == expected and repr(box) == repr(expected)
+        assert box_record(box) == record
+        assert repr(box_record(box)) == repr(dict(record, created_at=float(record["created_at"])))
+
+
+BASE_RECORD = box_record(RestrictedBox("a", BoxExtent(-74.01, 39.99, -73.99, 40.01), "op", "base", 1.7e9))
+EXTENT_KEYS = ("min_lon", "min_lat", "max_lon", "max_lat")
+
+
+def rejection_cases():
+    """One fault per record: the record, the exception class and a fragment of its message."""
+    for key in BASE_RECORD:
+        missing = {k: v for k, v in BASE_RECORD.items() if k != key}
+        yield pytest.param(missing, ValueError, f"missing field '{key}'", id=f"missing {key}")
+    for key in (*EXTENT_KEYS, "centroid_lon", "centroid_lat"):
+        for value in (True, "12", math.nan, math.inf, -math.inf):
+            if key not in EXTENT_KEYS:
+                cls, fragment = ValueError, f"{key} is not the midpoint"
+            elif value == "12":
+                cls, fragment = ValueError, "non-numeric field"
+            else:
+                cls, fragment = geo.InvalidCoordinate, f"{key} must be"
+            yield pytest.param(dict(BASE_RECORD, **{key: value}), cls, fragment, id=f"{key}={value!r}")
+    # a NaN or infinite created_at used to load; test_box_from_record_rejects_a_bool_coordinate_or_a_non_numeric_time
+    for value in (True, "12"):
+        bad = dict(BASE_RECORD, created_at=value)
+        yield pytest.param(bad, ValueError, "non-numeric.* created_at", id=f"created_at={value!r}")
+    for lo, hi in (("min_lon", "max_lon"), ("min_lat", "max_lat")):
+        swapped = dict(BASE_RECORD, **{lo: BASE_RECORD[hi], hi: BASE_RECORD[lo]})
+        yield pytest.param(swapped, geo.InvalidCoordinate, "corners out of order", id=f"{lo} > {hi}")
+    for key, toward in (("centroid_lat", math.inf), ("centroid_lon", -math.inf)):
+        off = dict(BASE_RECORD, **{key: math.nextafter(BASE_RECORD[key], toward)})
+        yield pytest.param(off, ValueError, f"{key} is not the midpoint", id=f"{key} one ulp off")
+    for key, value in (("id", None), ("added_by", 5), ("reason", ["x"])):
+        bad = dict(BASE_RECORD, **{key: value})
+        yield pytest.param(bad, ValueError, f"'{key}' is not a string", id=f"{key}={value!r}")
+
+
+@pytest.mark.parametrize("record, cls, fragment", rejection_cases())
+def test_box_from_record_rejection_table(record, cls, fragment):
+    with pytest.raises(ValueError, match=fragment) as excinfo:
+        box_from_record(record)
+    assert type(excinfo.value) is cls
+
+
+@pytest.mark.parametrize("value", [math.nan, 10**400], ids=["nan", "int too large"])
+def test_load_snapshot_rejects_a_created_at_that_is_not_a_finite_float(tmp_path, value):
+    path = str(tmp_path / "reg.snap")
+    record = box_record(add(Registry(), BoxExtent(0, 0, 1, 1)).stored)
+    snapshot.write_records(path, [dict(record, created_at=value)])  # json.dumps writes NaN, or all 401 digits
+    with pytest.raises(CorruptSnapshot, match="created_at"):
+        Registry().load_snapshot(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_all_boxes_leaves_the_collector_as_it_found_it(gc_starts, enabled):
+    reg = Registry()
+    add(reg, BoxExtent(0, 0, 1, 1))
+    (gc.enable if enabled else gc.disable)()
+    assert len(reg.all_boxes()) == 1
+    assert gc.isenabled() is enabled
+
+
+def test_all_boxes_starts_no_collection_while_it_builds(gc_starts, monkeypatch):
+    reg = Registry()
+    reg.bulk_load((BoxExtent(i * 1e-3, 0, i * 1e-3 + 1e-4, 1e-4) for i in range(5000)), "t", "", now=0)
+    seen = []  # collections started so far, as each box is built
+
+    def watched(record):
+        box = box_from_record(record)
+        seen.append(len(gc_starts))
+        return box
+
+    monkeypatch.setattr(registry, "box_from_record", watched)
+    gc.enable()
+    assert len(reg.all_boxes()) == 5000
+    assert len(seen) == 5000 and seen[-1] == seen[0]
 
 
 # -- the columns -----------------------------------------------------------------
