@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import datasets, device, geo
 from .geo import GeoPoint, MILE_M
-from .registry import Registry
+from .registry import Registry, RestrictedBox, box_record
 from .server import ApiConfig, create_server
 
 DEFAULT_CENTER = GeoPoint(lat=40.0, lon=-74.5)
@@ -165,10 +165,10 @@ def _measure_adds(base_url: str, rng: random.Random, ops: int) -> list[float]:
     return samples
 
 
-def _measure_startup(boxes, rng: random.Random, reps: int) -> list[float]:
+def _measure_startup(rows: device.BoxRows, rng: random.Random, reps: int) -> list[float]:
     policy = device.DevicePolicy()
     state = device.DeviceState(
-        cache=boxes,
+        cache=rows,
         last_refresh_at=0.0,
         coverage_center=DEFAULT_CENTER,
         coverage_radius_m=DEFAULT_DISC_RADIUS_M * 2.0,
@@ -214,7 +214,10 @@ def run_bench(
         extents = datasets.generate_extents(n, DEFAULT_CENTER, DEFAULT_DISC_RADIUS_M, rng)
         registry.bulk_load(extents, added_by="bench", reason="", now=0)
         bytes_per_box = os.path.getsize(snapshot_path) / n
-        cache_at_n = registry.all_boxes()
+        # the gate's cache holds the loaded extents; its ids need only be distinct
+        cache_at_n = device.BoxRows(
+            box_record(RestrictedBox(str(i), extent, "bench", "", 0.0)) for i, extent in enumerate(extents)
+        )
 
         config = ApiConfig(host="127.0.0.1", port=0, snapshot_path=snapshot_path,
                            audit_log_path=audit_path)

@@ -22,12 +22,18 @@ import json
 import math
 import urllib.error
 import urllib.request
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter, sub
+from typing import Iterable, Iterator
 from urllib.parse import urlencode
 
 from . import geo, snapshot
 from .geo import GeoPoint, MILE_M
-from .registry import RestrictedBox, box_from_record, box_record, collector_paused
+from .registry import RestrictedBox, box_record, collector_paused, row_from_record
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -102,16 +108,66 @@ class DevicePolicy:
             raise ValueError("fetch_radius must exceed movement_threshold")
 
 
+# a cached row as iteration yields it: box_record reads it as it reads a RestrictedBox
+CachedBox = namedtuple("CachedBox", "id extent added_by reason created_at")
+CachedExtent = namedtuple("CachedExtent", "min_lon min_lat max_lon max_lat")
+# tuple.__new__ builds a row from a zipped tuple in C; a namedtuple's own
+# __new__ is Python code, several times slower over a 25k-row cache
+_cached_box = partial(tuple.__new__, CachedBox)
+_cached_extent = partial(tuple.__new__, CachedExtent)
+
+
+class BoxRows:
+    """The cached boxes as columns, one row per box, sorted by centroid latitude.
+
+    ``centroid_lat`` and ``ext`` (four floats a row: min_lon, min_lat,
+    max_lon, max_lat) are ``array('d')`` columns, as are the ``created_at``
+    times; ``ids``, ``added_by`` and ``reason`` are lists, and ``half_h``
+    is the largest half-height, in degrees. Every record is checked by
+    ``registry.row_from_record``, and the rows sort themselves whatever
+    order the records came in. No object is kept per box, so a refresh
+    leaves the cyclic collector nothing to walk; iterating builds one
+    ``CachedBox`` per row, in C, from whole columns.
+    """
+
+    __slots__ = ("centroid_lat", "ext", "ids", "added_by", "reason", "created_at", "half_h")
+
+    def __init__(self, records: Iterable[dict] = ()) -> None:
+        with collector_paused():  # the checked rows are all alive until the columns are built
+            # stable, and one linear timsort run when the records come in centroid-latitude order
+            rows = sorted(map(row_from_record, records), key=itemgetter(5))
+            ids, *corners, mid_lat, added_by, reason, created_at = zip(*rows) if rows else [()] * 9
+            del rows
+        self.ids, self.added_by, self.reason = list(ids), list(added_by), list(reason)
+        self.centroid_lat, self.created_at = array("d", mid_lat), array("d", created_at)
+        self.ext = ext = array("d", [0.0]) * (4 * len(ids))
+        for k, corner in enumerate(corners):  # min_lon, min_lat, max_lon, max_lat
+            ext[k::4] = array("d", corner)
+        self.half_h = max(map(sub, ext[3::4], ext[1::4]), default=0.0) / 2.0
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[CachedBox]:
+        corners = iter(self.ext)
+        extents = map(_cached_extent, zip(corners, corners, corners, corners))
+        return map(_cached_box, zip(self.ids, extents, self.added_by, self.reason, self.created_at))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BoxRows) and all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+
 @dataclass
 class DeviceState:
     """Everything the device remembers between events.
 
-    ``coverage_center``/``coverage_radius_m`` describe exactly the disc of
-    the most recent successful fetch; ``last_location`` is the single most
-    recent fix and is overwritten, never appended to.
+    ``cache`` holds the boxes of the most recent successful fetch as
+    ``BoxRows``; ``coverage_center``/``coverage_radius_m`` describe exactly
+    that fetch's disc. ``last_location`` is the single most recent fix and
+    is overwritten, never appended to.
     """
 
-    cache: list[RestrictedBox] = field(default_factory=list)
+    cache: BoxRows = field(default_factory=BoxRows)
     last_location: GeoPoint | None = None
     last_location_at: float | None = None
     last_refresh_at: float | None = None
@@ -145,13 +201,17 @@ def tick(state: DeviceState, policy: DevicePolicy, now: float, fix: GeoPoint) ->
 
 def apply_refresh(
     state: DeviceState,
-    boxes: list[RestrictedBox],
+    boxes: BoxRows | Iterable[RestrictedBox],
     center: GeoPoint,
     radius_m: float,
     now: float,
 ) -> None:
-    """Install a successful fetch: the cache is replaced, never merged."""
-    state.cache = list(boxes)
+    """Install a successful fetch: the cache is replaced, never merged.
+
+    Rows, as ``fetch_boxes`` returns them, are installed as they are; any
+    other boxes are made into rows.
+    """
+    state.cache = boxes if isinstance(boxes, BoxRows) else BoxRows(map(box_record, boxes))
     state.coverage_center = center
     state.coverage_radius_m = radius_m
     state.last_refresh_at = now
@@ -175,17 +235,22 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
     # latitude band is farther than permissible_distance
     lat_cut = geo.lat_reach(policy.permissible_distance)
     lat_lo, lat_hi = fix.lat - lat_cut, fix.lat + lat_cut
+    # a box that reaches the band has its centroid within its half-height of it
+    rows = state.cache
+    pad = rows.half_h + 1e-9
+    lo = bisect_left(rows.centroid_lat, lat_lo - pad)
+    hi = bisect_right(rows.centroid_lat, lat_hi + pad)
+    corners = iter(rows.ext[4 * lo : 4 * hi])
     nearest_id: str | None = None
     nearest_d = 0.0
-    for box in state.cache:
-        extent = box.extent
+    for extent, box_id in zip(map(_cached_extent, zip(corners, corners, corners, corners)), rows.ids[lo:hi]):
         if extent.min_lat > lat_hi or extent.max_lat < lat_lo:
             continue
         d = geo.distance_to_box(fix, extent)
         if d <= policy.permissible_distance and (
-            nearest_id is None or (d, box.id) < (nearest_d, nearest_id)
+            nearest_id is None or (d, box_id) < (nearest_d, nearest_id)
         ):
-            nearest_id, nearest_d = box.id, d
+            nearest_id, nearest_d = box_id, d
     if nearest_id is not None:
         return CaptureDecision(Verdict.DENIED_RESTRICTED_AREA, box_id=nearest_id, distance_m=nearest_d)
     return CaptureDecision(Verdict.ALLOWED)
@@ -222,8 +287,8 @@ def fetch_boxes(
     center: GeoPoint,
     radius_m: float,
     timeout: float = 10.0,
-) -> list[RestrictedBox]:
-    """Fetch the restricted boxes around a point from the registry service.
+) -> BoxRows:
+    """Fetch the restricted boxes around a point from the registry service, as rows.
 
     Raises ServerRejected on a non-2xx status and FetchFailed when the
     request cannot complete or the response does not decode; callers keep
@@ -239,7 +304,7 @@ def fetch_boxes(
         raise ServerRejected(status, body.decode("utf-8", errors="replace"))
     try:
         with collector_paused():
-            return [box_from_record(r) for r in json.loads(body)["boxes"]]
+            return BoxRows(json.loads(body)["boxes"])
     except (KeyError, TypeError, ValueError, geo.InvalidCoordinate) as exc:
         raise FetchFailed(f"cannot decode response: {exc}") from exc
 
@@ -302,8 +367,7 @@ def cache_load(path: str) -> DeviceState:
             ),
             coverage_radius_m=float(radius),
         )
-        with collector_paused():
-            state.cache = [box_from_record(r) for r in records[1:]]
+        state.cache = BoxRows(records[1:])
     except (TypeError, ValueError, geo.InvalidCoordinate) as exc:
         raise CorruptSnapshot(f"{path}: bad device cache record: {exc}") from exc
     return state

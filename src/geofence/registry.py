@@ -105,11 +105,19 @@ def _is_canonical(line: bytes, record: dict) -> bool:
     )
 
 
-def box_from_record(record: dict) -> RestrictedBox:
-    """Parse the canonical dict form back into a box, validating geometry, the centroid and the types."""
+def row_from_record(record: dict) -> tuple:
+    """Check one canonical record and return its row; the one parser of every read path.
+
+    Checks the geometry, the centroid and the types, and returns ``(id,
+    min_lon, min_lat, max_lon, max_lat, centroid_lat, added_by, reason,
+    created_at)`` with the values as the record holds them.
+    """
     try:
         added_by, mid_lat, mid_lon, created_at, box_id, max_lat, max_lon, min_lat, min_lon, reason = _fields(record)
-        extent = BoxExtent(min_lon, min_lat, max_lon, max_lat)
+        # canonical records hold floats; anything else is left to BoxExtent, which raises its own error
+        if not (type(min_lon) is type(min_lat) is type(max_lon) is type(max_lat) is float
+                and -180.0 <= min_lon <= max_lon <= 180.0 and -90.0 <= min_lat <= max_lat <= 90.0):
+            BoxExtent(min_lon, min_lat, max_lon, max_lat)
     except KeyError as exc:
         raise ValueError(f"box record missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -124,7 +132,13 @@ def box_from_record(record: dict) -> RestrictedBox:
     if type(box_id) is not str or type(added_by) is not str or type(reason) is not str:
         key = "id" if type(box_id) is not str else "added_by" if type(added_by) is not str else "reason"
         raise ValueError(f"box record field {key!r} is not a string: {record[key]!r}")
-    return RestrictedBox(box_id, extent, added_by, reason, float(created_at))
+    return box_id, min_lon, min_lat, max_lon, max_lat, mid_lat, added_by, reason, created_at
+
+
+def box_from_record(record: dict) -> RestrictedBox:
+    """Parse the canonical dict form back into a box, with every check of row_from_record."""
+    box_id, min_lon, min_lat, max_lon, max_lat, _, added_by, reason, created_at = row_from_record(record)
+    return RestrictedBox(box_id, BoxExtent(min_lon, min_lat, max_lon, max_lat), added_by, reason, float(created_at))
 
 
 @contextmanager
@@ -304,7 +318,7 @@ class Registry:
             raise ValueError("added_by must be non-empty")
         with self._write_lock:
             union, absorbed = self._overlapping_group(extent)
-            stored = RestrictedBox(id=self._new_id(), extent=union, added_by=added_by, reason=reason, created_at=now)
+            stored = RestrictedBox(self._new_id(), union, added_by, reason, float(now))
             stored_line = snapshot.encode_record(box_record(stored))
             audit_size = None
             if absorbed and self.audit_log_path:
@@ -367,7 +381,7 @@ class Registry:
             ext = self._ext[:]
             new: dict[str, bytes] = {}
             for extent in extents:
-                box = RestrictedBox(id=self._new_id(new), extent=extent, added_by=added_by, reason=reason, created_at=now)
+                box = RestrictedBox(self._new_id(new), extent, added_by, reason, float(now))
                 new[box.id] = snapshot.encode_record(box_record(box))
                 ext.extend(_corners(extent))
             ids, lines = self._ids + list(new), {**self._lines, **new}
@@ -394,13 +408,17 @@ class Registry:
             for i, line in enumerate(snapshot.read_snapshot(source)):
                 record = snapshot.parse_line(source, i, line)
                 try:
-                    box = box_from_record(record)
+                    row = row_from_record(record)
                 except (ValueError, geo.InvalidCoordinate) as exc:
                     raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
-                if box.id in lines:
-                    raise CorruptSnapshot(f"{source}: duplicate box id {box.id}")
-                lines[box.id] = line if _is_canonical(line, record) else snapshot.encode_record(box_record(box))
-                ext.extend(_corners(box.extent))
+                box_id = row[0]
+                if box_id in lines:
+                    raise CorruptSnapshot(f"{source}: duplicate box id {box_id}")
+                if _is_canonical(line, record):
+                    lines[box_id] = line
+                else:
+                    lines[box_id] = snapshot.encode_record(box_record(box_from_record(record)))
+                ext.extend(row[1:5])
             self._publish(lines, list(lines), ext)
             return len(lines)
 

@@ -116,7 +116,7 @@ def run_replay(
                     log.append(f"{prefix} trigger={reason.value} refresh=failed")
                 else:
                     device.apply_refresh(state, boxes, fix, policy.fetch_radius, now)
-                    ids = ",".join(sorted(b.id for b in boxes)) if boxes else "-"
+                    ids = ",".join(sorted(boxes.ids)) if boxes else "-"
                     log.append(
                         f"{prefix} trigger={reason.value} refresh=ok count={len(boxes)} ids={ids}"
                     )

@@ -4,6 +4,7 @@ import ast
 import gc
 import glob
 import json
+import math
 import os
 import random
 import types
@@ -182,7 +183,7 @@ def test_refresh_replaces_cache_not_merges():
     assert [b.id for b in state.cache] == ["new-a", "new-b"]
     assert state.last_refresh_at == 700.0
     device.apply_refresh(state, [], HOME, POLICY.fetch_radius, now=800.0)
-    assert state.cache == []
+    assert len(state.cache) == 0
     assert state.coverage_center == HOME and state.coverage_radius_m == POLICY.fetch_radius
 
 
@@ -353,13 +354,90 @@ def test_gate_measures_only_boxes_inside_the_latitude_band(monkeypatch):
     distance_to_box = geo.distance_to_box
 
     def recording(p, extent):
-        measured.append(extent)
+        measured.append((extent.min_lon, extent.min_lat, extent.max_lon, extent.max_lat))
         return distance_to_box(p, extent)
 
     monkeypatch.setattr(geo, "distance_to_box", recording)
     decision = device.capture_request(state, POLICY, 600.0, HOME)
     assert decision.box_id == "near"
-    assert measured == [near.extent]
+    assert measured == [(near.extent.min_lon, near.extent.min_lat, near.extent.max_lon, near.extent.max_lat)]
+
+
+def linear_scan_gate(boxes, fix):
+    """The gate's verdict by a plain scan over the boxes themselves, not the cache."""
+    within = [(geo.distance_to_box(fix, b.extent), b.id) for b in boxes]
+    within = [hit for hit in within if hit[0] <= POLICY.permissible_distance]
+    if not within:
+        return Verdict.ALLOWED, None, None
+    d, box_id = min(within)
+    return Verdict.DENIED_RESTRICTED_AREA, box_id, d
+
+
+def assert_gate_matches_linear_scan(state, boxes, fix):
+    decision = device.capture_request(state, POLICY, 600.0, fix)
+    assert (decision.verdict, decision.box_id, decision.distance_m) == linear_scan_gate(boxes, fix)
+    return decision
+
+
+def band_edge_boxes(rng, fix, tag):
+    """A giant, boxes of its height touching the band at exactly permissible_distance, ties and clutter."""
+    reach_deg = POLICY.permissible_distance / geo.METERS_PER_DEG  # meridian arc
+    height = rng.uniform(0.01, 3.0)
+    boxes = []
+    # the giant sets the cache's largest half-height, near the fix or far from it
+    giant_lat = fix.lat + rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 2.0 * height)
+    giant_lon = fix.lon + rng.uniform(-0.5, 0.5)
+    giant = BoxExtent(giant_lon, giant_lat - height / 2.0, giant_lon + 0.01, giant_lat + height / 2.0)
+    boxes.append(cached_box(giant, f"{tag}-giant"))
+    for edge, lat in (("n", fix.lat + reach_deg), ("s", fix.lat - reach_deg)):
+        for nudge, near in ((-1, math.nextafter(lat, -math.inf)), (0, lat), (1, math.nextafter(lat, math.inf))):
+            lo, hi = (near, near + height) if edge == "n" else (near - height, near)
+            boxes.append(cached_box(BoxExtent(fix.lon - 0.001, lo, fix.lon + 0.001, hi), f"{tag}-{edge}{nudge}"))
+    for i in range(rng.randint(0, 30)):
+        lat = fix.lat + rng.uniform(-0.02, 0.02)
+        lon = fix.lon + rng.uniform(-0.02, 0.02)
+        extent = BoxExtent(lon, lat, lon + rng.uniform(0.0, 0.005), lat + rng.uniform(0.0, 0.005))
+        boxes.append(cached_box(extent, f"{tag}-r{i}"))
+        if rng.random() < 0.3:  # an equal-distance twin: the lower id must win
+            boxes.append(cached_box(extent, f"{tag}-q{i}"))
+    return boxes
+
+
+def test_bisected_gate_matches_a_linear_scan_with_giants_edges_and_ties():
+    rng = random.Random(1601)
+    for trial in range(150):
+        fix = GeoPoint(lat=rng.uniform(-60.0, 60.0), lon=rng.uniform(-170.0, 170.0))
+        boxes = band_edge_boxes(rng, fix, f"t{trial}")
+        rng.shuffle(boxes)
+        state = fresh_state(center=fix, boxes=boxes, radius=1e7)
+        assert_gate_matches_linear_scan(state, boxes, fix)
+        for _ in range(5):
+            near = geo.destination(fix, rng.uniform(0.0, 360.0), rng.uniform(0.0, 3_000.0))
+            assert_gate_matches_linear_scan(state, boxes, near)
+
+
+def test_bisected_gate_on_an_empty_cache_allows():
+    state = fresh_state(boxes=[])
+    assert len(state.cache) == 0 and state.cache.half_h == 0.0
+    assert_gate_matches_linear_scan(state, [], HOME).verdict is Verdict.ALLOWED
+
+
+def test_fetched_rows_sort_themselves_whatever_order_the_records_arrive_in(monkeypatch):
+    rng = random.Random(1602)
+    for trial in range(40):
+        fix = geo.destination(HOME, rng.uniform(0.0, 360.0), rng.uniform(0.0, 2_000.0))
+        boxes = band_edge_boxes(rng, fix, f"t{trial}")
+        records = [device.box_record(b) for b in boxes]
+        rng.shuffle(records)
+        records.sort(key=lambda r: -r["centroid_lat"])  # the server's order, reversed
+        serve_records(monkeypatch, records)
+        rows = device.fetch_boxes("http://127.0.0.1:9", HOME, POLICY.fetch_radius)
+        assert list(rows.centroid_lat) == sorted(r["centroid_lat"] for r in records)
+        assert sorted(tuple(device.box_record(b).items()) for b in rows) == sorted(tuple(r.items()) for r in records)
+        state = fresh_state(center=fix, radius=1e7)
+        device.apply_refresh(state, rows, fix, 1e7, now=0.0)
+        assert state.cache is rows  # installed, not copied
+        assert_gate_matches_linear_scan(state, boxes, fix)
 
 
 def test_gate_is_deterministic():
@@ -380,7 +458,7 @@ def test_fetch_boxes_round_trips_server_records(live_server):
         reg.add_box(BoxExtent(-73.95, 40.02, -73.93, 40.04), "t", "b", now=6.0).stored,
     ]
     boxes = device.fetch_boxes(live_server.url, HOME, 25 * MILE_M)
-    assert {b.id: b for b in boxes} == {b.id: b for b in stored}
+    assert {b.id: device.box_record(b) for b in boxes} == {b.id: device.box_record(b) for b in stored}
 
 
 def test_fetch_boxes_unreachable_server_raises_fetch_failed():
@@ -451,24 +529,37 @@ def test_fetch_boxes_leaves_the_collector_as_it_found_it(monkeypatch, gc_starts,
 
 def test_fetch_boxes_starts_no_collection_while_it_decodes(monkeypatch, gc_starts):
     serve_records(monkeypatch, [device.box_record(b) for b in many_boxes(5000)])
-    build = device.box_from_record
-    seen = []  # collections started so far: at the parse, then as each box is built
+    parse = device.row_from_record
+    seen = []  # collections started so far: at the parse, then as each row is checked
 
     def watched_loads(body):
         seen.append(len(gc_starts))
         return json.loads(body)
 
     def watched(record):
-        box = build(record)
+        row = parse(record)
         seen.append(len(gc_starts))
-        return box
+        return row
 
     # the parse is called as device.json.loads, as perfbench's tracer relies on
     monkeypatch.setattr(device, "json", types.SimpleNamespace(loads=watched_loads))
-    monkeypatch.setattr(device, "box_from_record", watched)
+    monkeypatch.setattr(device, "row_from_record", watched)
     gc.enable()
     assert len(device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)) == 5000
     assert len(seen) == 5001 and seen[-1] == seen[0]
+
+
+def test_a_refresh_leaves_the_young_generation_a_handful_of_objects(monkeypatch, gc_starts):
+    serve_records(monkeypatch, [device.box_record(b) for b in many_boxes(5000)])
+    state = DeviceState()
+    gc.disable()
+    gc.collect()
+    before = len(gc.get_objects(0))
+    rows = device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)
+    device.apply_refresh(state, rows, HOME, 1000.0, now=0.0)
+    young = len(gc.get_objects(0)) - before
+    assert len(state.cache) == 5000
+    assert young < 50  # a box per record would leave about 10,000
 
 
 # -- http_request ----------------------------------------------------------------
@@ -598,15 +689,15 @@ def test_cache_load_leaves_the_collector_as_it_found_it(tmp_path, gc_starts, ena
 def test_cache_load_starts_no_collection_while_it_builds(tmp_path, monkeypatch, gc_starts):
     path = str(tmp_path / "cache.snap")
     device.cache_save(fresh_state(boxes=many_boxes(5000)), path)
-    build = device.box_from_record
-    seen = []  # collections started so far, as each box is built
+    parse = device.row_from_record
+    seen = []  # collections started so far, as each row is checked
 
     def watched(record):
-        box = build(record)
+        row = parse(record)
         seen.append(len(gc_starts))
-        return box
+        return row
 
-    monkeypatch.setattr(device, "box_from_record", watched)
+    monkeypatch.setattr(device, "row_from_record", watched)
     gc.enable()
     assert len(device.cache_load(path).cache) == 5000
     assert len(seen) == 5000 and seen[-1] == seen[0]

@@ -262,6 +262,19 @@ def test_merge_absorbs_one_of_twins_with_equal_centroid_latitudes():
     assert query_ids(reg, GeoPoint(10.5, 3.0), 1_000_000.0) == [everything.stored.id]
 
 
+def test_an_integer_now_serves_the_same_bytes_before_and_after_a_restart(tmp_path):
+    path = str(tmp_path / "reg.snap")
+    reg = Registry(snapshot_path=path)
+    reg.bulk_load([BoxExtent(0, 0, 1, 1), BoxExtent(2, 0, 3, 1), BoxExtent(4, 0, 5, 1)], "t", "", now=0)
+    add(reg, BoxExtent(6, 0, 7, 1), now=5)
+    center = GeoPoint(0.5, 3.5)
+    before = encode_boxes(reg.boxes_within_radius(center, 1_000_000.0))
+    reloaded = Registry(snapshot_path=path)
+    assert reloaded.load_snapshot() == 4
+    assert encode_boxes(reloaded.boxes_within_radius(center, 1_000_000.0)) == before
+    assert b'"created_at":0.0' in before and b'"created_at":5.0' in before
+
+
 def test_bulk_load_into_a_non_empty_registry_then_query_and_merge():
     rng = random.Random(77)
     reg = Registry()
