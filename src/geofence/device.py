@@ -33,7 +33,7 @@ from urllib.parse import urlencode
 
 from . import geo, snapshot
 from .geo import GeoPoint, MILE_M
-from .registry import RestrictedBox, box_record, collector_paused, row_from_record
+from .registry import box_record, collector_paused, row_from_record
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -199,19 +199,9 @@ def tick(state: DeviceState, policy: DevicePolicy, now: float, fix: GeoPoint) ->
     return None
 
 
-def apply_refresh(
-    state: DeviceState,
-    boxes: BoxRows | Iterable[RestrictedBox],
-    center: GeoPoint,
-    radius_m: float,
-    now: float,
-) -> None:
-    """Install a successful fetch: the cache is replaced, never merged.
-
-    Rows, as ``fetch_boxes`` returns them, are installed as they are; any
-    other boxes are made into rows.
-    """
-    state.cache = boxes if isinstance(boxes, BoxRows) else BoxRows(map(box_record, boxes))
+def apply_refresh(state: DeviceState, rows: BoxRows, center: GeoPoint, radius_m: float, now: float) -> None:
+    """Install a successful fetch's rows as they are: the cache is replaced, never merged."""
+    state.cache = rows
     state.coverage_center = center
     state.coverage_radius_m = radius_m
     state.last_refresh_at = now

@@ -56,15 +56,17 @@ class BoxExtent:
     max_lat: float
 
     def __post_init__(self) -> None:
-        _check_range("min_lon", self.min_lon, -180.0, 180.0)
-        _check_range("max_lon", self.max_lon, -180.0, 180.0)
-        _check_range("min_lat", self.min_lat, -90.0, 90.0)
-        _check_range("max_lat", self.max_lat, -90.0, 90.0)
-        if self.min_lon > self.max_lon or self.min_lat > self.max_lat:
-            raise InvalidCoordinate(
-                f"box corners out of order: [{self.min_lon}, {self.min_lat}, "
-                f"{self.max_lon}, {self.max_lat}]"
-            )
+        check_extent(self.min_lon, self.min_lat, self.max_lon, self.max_lat)
+
+
+def check_extent(min_lon: float, min_lat: float, max_lon: float, max_lat: float) -> None:
+    """Raise InvalidCoordinate unless the corners make a BoxExtent; a check without the object."""
+    _check_range("min_lon", min_lon, -180.0, 180.0)
+    _check_range("max_lon", max_lon, -180.0, 180.0)
+    _check_range("min_lat", min_lat, -90.0, 90.0)
+    _check_range("max_lat", max_lat, -90.0, 90.0)
+    if min_lon > max_lon or min_lat > max_lat:
+        raise InvalidCoordinate(f"box corners out of order: [{min_lon}, {min_lat}, {max_lon}, {max_lat}]")
 
 
 def normalize_box(p1: GeoPoint, p2: GeoPoint) -> BoxExtent:

@@ -114,10 +114,7 @@ def row_from_record(record: dict) -> tuple:
     """
     try:
         added_by, mid_lat, mid_lon, created_at, box_id, max_lat, max_lon, min_lat, min_lon, reason = _fields(record)
-        # canonical records hold floats; anything else is left to BoxExtent, which raises its own error
-        if not (type(min_lon) is type(min_lat) is type(max_lon) is type(max_lat) is float
-                and -180.0 <= min_lon <= max_lon <= 180.0 and -90.0 <= min_lat <= max_lat <= 90.0):
-            BoxExtent(min_lon, min_lat, max_lon, max_lat)
+        geo.check_extent(min_lon, min_lat, max_lon, max_lat)
     except KeyError as exc:
         raise ValueError(f"box record missing field {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -135,10 +132,14 @@ def row_from_record(record: dict) -> tuple:
     return box_id, min_lon, min_lat, max_lon, max_lat, mid_lat, added_by, reason, created_at
 
 
+def _box_from_row(row: tuple) -> RestrictedBox:
+    box_id, min_lon, min_lat, max_lon, max_lat, _, added_by, reason, created_at = row
+    return RestrictedBox(box_id, BoxExtent(min_lon, min_lat, max_lon, max_lat), added_by, reason, float(created_at))
+
+
 def box_from_record(record: dict) -> RestrictedBox:
     """Parse the canonical dict form back into a box, with every check of row_from_record."""
-    box_id, min_lon, min_lat, max_lon, max_lat, _, added_by, reason, created_at = row_from_record(record)
-    return RestrictedBox(box_id, BoxExtent(min_lon, min_lat, max_lon, max_lat), added_by, reason, float(created_at))
+    return _box_from_row(row_from_record(record))
 
 
 @contextmanager
@@ -417,7 +418,7 @@ class Registry:
                 if _is_canonical(line, record):
                     lines[box_id] = line
                 else:
-                    lines[box_id] = snapshot.encode_record(box_record(box_from_record(record)))
+                    lines[box_id] = snapshot.encode_record(box_record(_box_from_row(row)))
                 ext.extend(row[1:5])
             self._publish(lines, list(lines), ext)
             return len(lines)

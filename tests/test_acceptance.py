@@ -194,7 +194,7 @@ def test_criterion_5_state_machine_boundaries():
 
     def refreshed_state(at=0.0):
         state = DeviceState()
-        device.apply_refresh(state, [], home, 1e7, now=at)
+        device.apply_refresh(state, device.BoxRows(), home, 1e7, now=at)
         state.last_location = home
         state.last_location_at = at
         return state

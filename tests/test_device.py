@@ -21,6 +21,7 @@ from geofence.device import (
     Verdict,
 )
 from geofence.geo import MILE_M, BoxExtent, GeoPoint
+from geofence.registry import RestrictedBox
 from geofence.snapshot import CorruptSnapshot
 
 POLICY = DevicePolicy()
@@ -32,12 +33,12 @@ def fresh_state(at=0.0, center=HOME, radius=POLICY.fetch_radius, boxes=()):
     state = DeviceState()
     state.last_location = center
     state.last_location_at = at
-    device.apply_refresh(state, list(boxes), center, radius, now=at)
+    device.apply_refresh(state, device.BoxRows(map(device.box_record, boxes)), center, radius, now=at)
     return state
 
 
 def cached_box(extent, box_id="box-1"):
-    return device.RestrictedBox(
+    return RestrictedBox(
         id=box_id,
         extent=extent,
         added_by="t",
@@ -80,7 +81,7 @@ def test_tick_first_run_until_a_refresh_lands():
     assert device.tick(state, POLICY, 0.0, HOME) is RefreshReason.FIRST_RUN
     # still no refresh: keeps asking
     assert device.tick(state, POLICY, 600.0, HOME) is RefreshReason.FIRST_RUN
-    device.apply_refresh(state, [], HOME, POLICY.fetch_radius, now=600.0)
+    device.apply_refresh(state, device.BoxRows(), HOME, POLICY.fetch_radius, now=600.0)
     assert device.tick(state, POLICY, 1200.0, HOME) is None
 
 
@@ -178,11 +179,12 @@ def test_coverage_boundary_is_inclusive():
 
 def test_refresh_replaces_cache_not_merges():
     state = fresh_state(boxes=[cached_box(BoxExtent(0, 0, 1, 1), "old")])
-    second = [cached_box(BoxExtent(5, 5, 6, 6), "new-a"), cached_box(BoxExtent(7, 7, 8, 8), "new-b")]
+    new_a, new_b = cached_box(BoxExtent(5, 5, 6, 6), "new-a"), cached_box(BoxExtent(7, 7, 8, 8), "new-b")
+    second = device.BoxRows(map(device.box_record, [new_a, new_b]))
     device.apply_refresh(state, second, HOME, POLICY.fetch_radius, now=700.0)
     assert [b.id for b in state.cache] == ["new-a", "new-b"]
     assert state.last_refresh_at == 700.0
-    device.apply_refresh(state, [], HOME, POLICY.fetch_radius, now=800.0)
+    device.apply_refresh(state, device.BoxRows(), HOME, POLICY.fetch_radius, now=800.0)
     assert len(state.cache) == 0
     assert state.coverage_center == HOME and state.coverage_radius_m == POLICY.fetch_radius
 
