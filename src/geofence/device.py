@@ -27,13 +27,13 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Iterator
 from urllib.parse import urlencode
 
 from . import geo, snapshot
 from .geo import GeoPoint, MILE_M
-from .registry import box_record, collector_paused, row_from_record
+from .registry import box_record, collector_paused, max_half_extent, row_from_record
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -74,10 +74,6 @@ class CaptureDecision:
     verdict: Verdict
     box_id: str | None = None
     distance_m: float | None = None
-
-    @property
-    def allowed(self) -> bool:
-        return self.verdict is Verdict.ALLOWED
 
 
 @dataclass
@@ -143,7 +139,7 @@ class BoxRows:
         self.ext = ext = array("d", [0.0]) * (4 * len(ids))
         for k, corner in enumerate(corners):  # min_lon, min_lat, max_lon, max_lat
             ext[k::4] = array("d", corner)
-        self.half_h = max(map(sub, ext[3::4], ext[1::4]), default=0.0) / 2.0
+        self.half_h = max_half_extent(ext, 1)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -217,7 +213,8 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
     if state.last_refresh_at is not None and now - state.last_refresh_at > policy.lockout_after:
         return CaptureDecision(Verdict.DENIED_STALE_CACHE)
     if (
-        state.coverage_center is None
+        state.last_refresh_at is None
+        or state.coverage_center is None
         or geo.haversine_distance(fix, state.coverage_center) > state.coverage_radius_m
     ):
         return CaptureDecision(Verdict.DENIED_NO_COVERAGE)

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Container, Iterable, Iterator
 
 from . import geo, snapshot
@@ -58,15 +58,15 @@ def box_record(box: RestrictedBox) -> dict:
     centroid = geo.centroid(box.extent)
     return {
         "id": box.id,
-        "min_lon": box.extent.min_lon,
-        "min_lat": box.extent.min_lat,
-        "max_lon": box.extent.max_lon,
-        "max_lat": box.extent.max_lat,
+        "min_lon": float(box.extent.min_lon),
+        "min_lat": float(box.extent.min_lat),
+        "max_lon": float(box.extent.max_lon),
+        "max_lat": float(box.extent.max_lat),
         "centroid_lon": centroid.lon,
         "centroid_lat": centroid.lat,
         "added_by": box.added_by,
         "reason": box.reason,
-        "created_at": box.created_at,
+        "created_at": float(box.created_at),
     }
 
 
@@ -132,16 +132,6 @@ def row_from_record(record: dict) -> tuple:
     return box_id, min_lon, min_lat, max_lon, max_lat, mid_lat, added_by, reason, created_at
 
 
-def _box_from_row(row: tuple) -> RestrictedBox:
-    box_id, min_lon, min_lat, max_lon, max_lat, _, added_by, reason, created_at = row
-    return RestrictedBox(box_id, BoxExtent(min_lon, min_lat, max_lon, max_lat), added_by, reason, float(created_at))
-
-
-def box_from_record(record: dict) -> RestrictedBox:
-    """Parse the canonical dict form back into a box, with every check of row_from_record."""
-    return _box_from_row(row_from_record(record))
-
-
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Pause cyclic GC, process-wide, for a decode, whose objects all stay alive; re-enable only if it was on."""
@@ -175,6 +165,11 @@ def _midpoints(lo: Iterable[float], hi: Iterable[float]) -> array:
     return array("d", [(a + b) / 2.0 for a, b in zip(lo, hi)])
 
 
+def max_half_extent(ext: array, axis: int) -> float:
+    """The largest half-width (axis 0) or half-height (axis 1), in degrees, over packed extents; 0 when none."""
+    return max(map(sub, ext[axis + 2 :: 4], ext[axis::4]), default=0.0) / 2.0
+
+
 class Registry:
     """The restricted-box store.
 
@@ -182,8 +177,8 @@ class Registry:
     order) and one row per box in five parallel columns sorted by centroid
     latitude: the centroid latitudes and longitudes, the extents packed
     four floats a row (min_lon, min_lat, max_lon, max_lat), the ids, and
-    the lines again. No box object is kept; ``all_boxes`` and ``add_box``
-    build one where a caller needs it, and a query answers with the lines.
+    the lines again. No box object is kept: ``add_box`` builds one for its
+    outcome, and a query answers with the lines.
     The centroid columns hold the extents' midpoints; no box carries one.
 
     Thread-safe behind two locks. A writer mutex serialises every mutator
@@ -238,13 +233,6 @@ class Registry:
     def count(self) -> int:
         with self._lock:
             return len(self._lines)
-
-    def all_boxes(self) -> list[RestrictedBox]:
-        """Every stored box, parsed from its line, in centroid-latitude order; callers need no order."""
-        with self._lock:
-            lines = self._row_lines.copy()
-        with collector_paused():
-            return [box_from_record(json.loads(line)) for line in lines]
 
     def boxes_within_radius(self, center: GeoPoint, radius_m: float) -> list[bytes]:
         """The canonical line of every box whose centroid is within radius_m of center (inclusive)."""
@@ -345,7 +333,8 @@ class Registry:
     def _swap_rows(self, absorbed: Iterable[int], box_id: str, line: bytes, extent: BoxExtent) -> None:
         """Delete the absorbed rows and insert the stored box's, under the state lock."""
         corners = array("d", _corners(extent))
-        half_w, half_h = _half_extent_bound(corners, self._max_half_w, self._max_half_h)
+        half_w = max(self._max_half_w, max_half_extent(corners, 0))
+        half_h = max(self._max_half_h, max_half_extent(corners, 1))
         centroid = geo.centroid(extent)
         with self._lock:
             # descending, so each deletion leaves the rows still to go in place
@@ -418,7 +407,8 @@ class Registry:
                 if _is_canonical(line, record):
                     lines[box_id] = line
                 else:
-                    lines[box_id] = snapshot.encode_record(box_record(_box_from_row(row)))
+                    box = RestrictedBox(box_id, BoxExtent(*row[1:5]), *row[6:])
+                    lines[box_id] = snapshot.encode_record(box_record(box))
                 ext.extend(row[1:5])
             self._publish(lines, list(lines), ext)
             return len(lines)
@@ -437,7 +427,7 @@ class Registry:
         ids = [ids[row] for row in order]
         row_lines = [lines[box_id] for box_id in ids]
         lat, lon = _midpoints(ext[1::4], ext[3::4]), _midpoints(ext[0::4], ext[2::4])
-        half_w, half_h = _half_extent_bound(ext)
+        half_w, half_h = max_half_extent(ext, 0), max_half_extent(ext, 1)
         with self._lock:
             self._lines, self._ids, self._row_lines = lines, ids, row_lines
             self._lat, self._lon, self._ext = lat, lon, ext
@@ -467,11 +457,3 @@ class Registry:
                 os.fsync(f.fileno())
         except OSError as exc:
             raise StorageFailure(f"cannot roll back audit log {self.audit_log_path}: {exc}") from exc
-
-
-def _half_extent_bound(ext: array, half_w: float = 0.0, half_h: float = 0.0) -> tuple[float, float]:
-    """Largest half-width and half-height, in degrees, over packed extents and the floors given."""
-    for min_lon, min_lat, max_lon, max_lat in zip(ext[0::4], ext[1::4], ext[2::4], ext[3::4]):
-        half_w = max(half_w, (max_lon - min_lon) / 2.0)
-        half_h = max(half_h, (max_lat - min_lat) / 2.0)
-    return half_w, half_h

@@ -1,13 +1,30 @@
-"""Shared fixtures: loopback service instances bound to ephemeral ports."""
+"""Shared fixtures: loopback service instances bound to ephemeral ports, and a reader of a registry's boxes."""
 
 import gc
+import json
+import math
 import random
 import threading
 
 import pytest
 
-from geofence.registry import Registry
+from geofence.geo import EARTH_RADIUS_M, BoxExtent, GeoPoint
+from geofence.registry import Registry, RestrictedBox, row_from_record
 from geofence.server import ApiConfig, create_server
+
+# farther than any two points on Earth are apart (half the circumference is about 20,015 km)
+WORLD_RADIUS_M = 1.01 * math.pi * EARTH_RADIUS_M
+
+
+def box_from_row(row):
+    """The RestrictedBox a row of registry.row_from_record describes."""
+    return RestrictedBox(row[0], BoxExtent(*row[1:5]), *row[6:])
+
+
+def stored_boxes(reg):
+    """Every box in reg, parsed from the lines of a query whose radius reaches all of the Earth."""
+    lines = reg.boxes_within_radius(GeoPoint(0, 0), WORLD_RADIUS_M)
+    return [box_from_row(row_from_record(json.loads(line))) for line in lines]
 
 
 class LiveServer:

@@ -20,6 +20,8 @@ from geofence.device import DevicePolicy, DeviceState, Verdict
 from geofence.geo import EARTH_RADIUS_M, BoxExtent, GeoPoint
 from geofence.registry import Registry
 
+from conftest import stored_boxes
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -138,7 +140,7 @@ def test_criterion_3_disjointness_and_coverage_after_10k_adds():
         witness_points.append(GeoPoint(ext.min_lat, ext.min_lon))
         witness_points.append(GeoPoint(ext.max_lat, ext.max_lon))
 
-    boxes = reg.all_boxes()
+    boxes = stored_boxes(reg)
     _assert_pairwise_disjoint(boxes)
 
     # coverage grows monotonically, so checking every witness against the
@@ -170,7 +172,7 @@ def test_criterion_4_index_transparency():
         datasets.generate_extents(10_000, center, 200_000.0, rng),
         added_by="gen", reason="", now=0,
     )
-    scan = [(b.id, geo.centroid(b.extent)) for b in reg.all_boxes()]
+    scan = [(b.id, geo.centroid(b.extent)) for b in stored_boxes(reg)]
     assert len(scan) == 10_000
     mismatches = 0
     for _ in range(1000):
@@ -217,7 +219,8 @@ def test_criterion_5_state_machine_boundaries():
     )
 
     # lockout: 2,592,000 s exactly still allows, 2,592,001 s locks out
-    assert device.capture_request(refreshed_state(at=0.0), policy, 2_592_000.0, home).allowed
+    verdict = device.capture_request(refreshed_state(at=0.0), policy, 2_592_000.0, home).verdict
+    assert verdict is Verdict.ALLOWED
     verdict = device.capture_request(refreshed_state(at=0.0), policy, 2_592_001.0, home).verdict
     assert verdict is Verdict.DENIED_STALE_CACHE
 

@@ -199,7 +199,6 @@ def test_capture_inside_cached_box_denied_distance_zero():
     assert decision.verdict is Verdict.DENIED_RESTRICTED_AREA
     assert decision.box_id == box.id
     assert decision.distance_m == 0.0
-    assert not decision.allowed
 
 
 def test_capture_far_from_boxes_allowed():
@@ -207,7 +206,6 @@ def test_capture_far_from_boxes_allowed():
     state = fresh_state(boxes=[box])
     decision = device.capture_request(state, POLICY, 600.0, HOME)
     assert decision.verdict is Verdict.ALLOWED
-    assert decision.allowed
 
 
 def test_capture_within_permissible_distance_denied():
@@ -250,6 +248,20 @@ def test_capture_never_allowed_without_any_refresh():
         device.tick(state, POLICY, rng.uniform(0, 1e6), fix)
         decision = device.capture_request(state, POLICY, rng.uniform(0, 1e6), fix)
         assert decision.verdict is Verdict.DENIED_NO_COVERAGE
+
+
+def test_a_coverage_disc_without_a_refresh_on_record_denies():
+    # the gate used to trust the disc alone and allow at its centre
+    state = DeviceState(coverage_center=HOME, coverage_radius_m=1e5)
+    assert device.capture_request(state, POLICY, 600.0, HOME).verdict is Verdict.DENIED_NO_COVERAGE
+
+
+def test_a_loaded_cache_with_a_disc_but_no_refresh_denies(tmp_path):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(DeviceState(coverage_center=HOME, coverage_radius_m=1e5), path)
+    state = device.cache_load(path)
+    assert state.last_refresh_at is None and state.coverage_center == HOME
+    assert device.capture_request(state, POLICY, 600.0, HOME).verdict is Verdict.DENIED_NO_COVERAGE
 
 
 def test_lockout_is_monotone_without_refresh():

@@ -12,6 +12,8 @@ from geofence import geo
 from geofence.geo import BoxExtent, GeoPoint
 from geofence.registry import Registry, box_record
 
+from conftest import stored_boxes
+
 WIRE_FIELDS = {
     "id", "min_lon", "min_lat", "max_lon", "max_lat",
     "centroid_lon", "centroid_lat", "added_by", "reason", "created_at",
@@ -214,7 +216,7 @@ def test_get_serves_a_box_merged_away_after_the_query(live_server):
     status, body = get_boxes(live_server.url, "lat=40&lon=-74&radius_m=10000")
     assert status == 200
     assert body == {"boxes": [box_record(queried)], "count": 1}
-    assert queried.id not in {b.id for b in reg.all_boxes()}
+    assert queried.id not in {b.id for b in stored_boxes(reg)}
 
 
 def test_each_get_queries_the_registry_exactly_once(live_server, monkeypatch):
