@@ -22,7 +22,6 @@ import shutil
 import statistics
 import threading
 import time
-from dataclasses import dataclass
 
 from . import datasets, device, geo
 from .geo import GeoPoint, MILE_M
@@ -62,68 +61,22 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[lo] * (hi - k) + ordered[hi] * (k - lo)
 
 
-@dataclass(frozen=True)
-class LatencyStats:
-    median_ms: float
-    p95_ms: float
-
-    @staticmethod
-    def of(samples_ms: list[float]) -> "LatencyStats":
-        return LatencyStats(
-            median_ms=statistics.median(samples_ms),
-            p95_ms=percentile(samples_ms, 95.0),
-        )
+def _stats(samples_ms: list[float]) -> dict:
+    return {"median": statistics.median(samples_ms), "p95": percentile(samples_ms, 95.0)}
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    n: int
-    bytes_per_box: float
-    add: LatencyStats
-    fetch: LatencyStats
-    startup: LatencyStats
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    sizes: tuple[int, ...]
-    seed: int
-    ops: int
-    startup_reps: int
-    rows: tuple[BenchRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "seed": self.seed,
-            "ops": self.ops,
-            "startup_reps": self.startup_reps,
-            "rows": [
-                {
-                    "n": row.n,
-                    "bytes_per_box": row.bytes_per_box,
-                    "add_ms": {"median": row.add.median_ms, "p95": row.add.p95_ms},
-                    "fetch_ms": {"median": row.fetch.median_ms, "p95": row.fetch.p95_ms},
-                    "startup_ms": {"median": row.startup.median_ms, "p95": row.startup.p95_ms},
-                }
-                for row in self.rows
-            ],
-        }
-
-    def format_table(self) -> str:
-        header = (
-            f"{'N':>9}  {'B/box':>7}  {'add med':>9}  {'add p95':>9}  "
-            f"{'fetch med':>9}  {'fetch p95':>9}  {'start med':>9}  {'start p95':>9}"
-        )
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.n:>9}  {r.bytes_per_box:>7.1f}  {r.add.median_ms:>9.2f}  {r.add.p95_ms:>9.2f}  "
-                f"{r.fetch.median_ms:>9.2f}  {r.fetch.p95_ms:>9.2f}  "
-                f"{r.startup.median_ms:>9.2f}  {r.startup.p95_ms:>9.2f}"
-            )
-        lines.append("(latencies in ms; add/fetch over loopback HTTP, startup in-process)")
-        return "\n".join(lines)
+def format_table(report: dict) -> str:
+    """A run_bench report as a fixed-width table, one line per store size."""
+    header = (
+        f"{'N':>9}  {'B/box':>7}  {'add med':>9}  {'add p95':>9}  "
+        f"{'fetch med':>9}  {'fetch p95':>9}  {'start med':>9}  {'start p95':>9}"
+    )
+    lines = [header, "-" * len(header)]
+    for r in report["rows"]:
+        cells = [r[kind][stat] for kind in ("add_ms", "fetch_ms", "startup_ms") for stat in ("median", "p95")]
+        lines.append(f"{r['n']:>9}  {r['bytes_per_box']:>7.1f}" + "".join(f"  {c:>9.2f}" for c in cells))
+    lines.append("(latencies in ms; add/fetch over loopback HTTP, startup in-process)")
+    return "\n".join(lines)
 
 
 def _request(method: str, url: str, payload: dict | None = None) -> None:
@@ -189,8 +142,14 @@ def run_bench(
     workdir: str,
     ops: int = DEFAULT_OPS,
     startup_reps: int = DEFAULT_STARTUP_REPS,
-) -> BenchReport:
-    """Run the full measurement matrix and return the report."""
+) -> dict:
+    """Run the full measurement matrix and return the report, as the CLI prints it.
+
+    The report holds the arguments (``sizes``, ``seed``, ``ops``,
+    ``startup_reps``) and one row per size: ``n``, ``bytes_per_box`` and
+    ``add_ms``, ``fetch_ms`` and ``startup_ms``, each a ``median`` and a
+    ``p95`` in milliseconds.
+    """
     if not sizes or any(n <= 0 for n in sizes):
         raise BenchError("sizes must be positive integers")
     if list(sizes) != sorted(sizes):
@@ -219,8 +178,7 @@ def run_bench(
             box_record(RestrictedBox(str(i), extent, "bench", "", 0.0)) for i, extent in enumerate(extents)
         )
 
-        config = ApiConfig(host="127.0.0.1", port=0, snapshot_path=snapshot_path,
-                           audit_log_path=audit_path)
+        config = ApiConfig(host="127.0.0.1", port=0, snapshot_path=snapshot_path)
         server = create_server(config, registry=registry)
         thread = threading.Thread(
             target=lambda: server.serve_forever(poll_interval=0.05), daemon=True
@@ -239,15 +197,11 @@ def run_bench(
         for path in (snapshot_path, audit_path):
             if os.path.exists(path):
                 os.remove(path)
-        rows.append(
-            BenchRow(
-                n=n,
-                bytes_per_box=bytes_per_box,
-                add=LatencyStats.of(add_ms),
-                fetch=LatencyStats.of(fetch_ms),
-                startup=LatencyStats.of(startup_ms),
-            )
-        )
-    return BenchReport(
-        sizes=tuple(sizes), seed=seed, ops=ops, startup_reps=startup_reps, rows=tuple(rows)
-    )
+        rows.append({
+            "n": n,
+            "bytes_per_box": bytes_per_box,
+            "add_ms": _stats(add_ms),
+            "fetch_ms": _stats(fetch_ms),
+            "startup_ms": _stats(startup_ms),
+        })
+    return {"sizes": list(sizes), "seed": seed, "ops": ops, "startup_reps": startup_reps, "rows": rows}

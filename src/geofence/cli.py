@@ -21,7 +21,7 @@ import random
 import sys
 
 from . import __version__, datasets, replay
-from .bench import BenchError, run_bench
+from .bench import BenchError, format_table, run_bench
 from .config import api_config_from_values, load_kv_config, policy_from_values
 from .device import FetchFailed, http_request
 from .geo import GeoPoint, InvalidCoordinate
@@ -89,10 +89,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         values["max_radius_m"] = str(args.max_radius_m)
     if args.max_body_bytes is not None:
         values["max_body_bytes"] = str(args.max_body_bytes)
-    config = api_config_from_values(values)
-    if config.snapshot_path and not config.audit_log_path:
-        config.audit_log_path = config.snapshot_path + ".audit"
-    server = create_server(config)
+    server = create_server(api_config_from_values(values))
     print(f"listening on {server.url} (boxes: {server.registry.count()})", file=sys.stderr)
     try:
         server.serve_forever()
@@ -163,14 +160,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ops=args.ops,
         startup_reps=args.startup_reps,
     )
-    print(report.format_table())
+    print(format_table(report))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
+            json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"report written to {args.output}", file=sys.stderr)
     else:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 

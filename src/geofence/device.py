@@ -24,7 +24,6 @@ import urllib.error
 import urllib.request
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -32,8 +31,8 @@ from typing import Iterable, Iterator
 from urllib.parse import urlencode
 
 from . import geo, snapshot
-from .geo import GeoPoint, MILE_M
-from .registry import box_record, collector_paused, max_half_extent, row_from_record
+from .geo import GeoPoint, MILE_M, trusted_extent
+from .registry import RestrictedBox, box_record, collector_paused, max_half_extent, row_from_record
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -104,15 +103,6 @@ class DevicePolicy:
             raise ValueError("fetch_radius must exceed movement_threshold")
 
 
-# a cached row as iteration yields it: box_record reads it as it reads a RestrictedBox
-CachedBox = namedtuple("CachedBox", "id extent added_by reason created_at")
-CachedExtent = namedtuple("CachedExtent", "min_lon min_lat max_lon max_lat")
-# tuple.__new__ builds a row from a zipped tuple in C; a namedtuple's own
-# __new__ is Python code, several times slower over a 25k-row cache
-_cached_box = partial(tuple.__new__, CachedBox)
-_cached_extent = partial(tuple.__new__, CachedExtent)
-
-
 class BoxRows:
     """The cached boxes as columns, one row per box, sorted by centroid latitude.
 
@@ -123,7 +113,7 @@ class BoxRows:
     ``registry.row_from_record``, and the rows sort themselves whatever
     order the records came in. No object is kept per box, so a refresh
     leaves the cyclic collector nothing to walk; iterating builds one
-    ``CachedBox`` per row, in C, from whole columns.
+    ``RestrictedBox`` per row, in C, from whole columns.
     """
 
     __slots__ = ("centroid_lat", "ext", "ids", "added_by", "reason", "created_at", "half_h")
@@ -144,10 +134,12 @@ class BoxRows:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[CachedBox]:
+    def __iter__(self) -> Iterator[RestrictedBox]:
         corners = iter(self.ext)
-        extents = map(_cached_extent, zip(corners, corners, corners, corners))
-        return map(_cached_box, zip(self.ids, extents, self.added_by, self.reason, self.created_at))
+        extents = map(trusted_extent, zip(corners, corners, corners, corners))
+        # tuple.__new__ builds each row in C; a named tuple's own __new__ is Python code
+        rows = zip(self.ids, extents, self.added_by, self.reason, self.created_at)
+        return map(partial(tuple.__new__, RestrictedBox), rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BoxRows) and all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
@@ -179,7 +171,8 @@ def tick(state: DeviceState, policy: DevicePolicy, now: float, fix: GeoPoint) ->
     measured from the last refresh point, not the previous fix, so dense
     fixes cannot creep past the threshold one short hop at a time. Movement
     and staleness comparisons are strict: exactly at the threshold does not
-    trigger.
+    trigger. A negative cache age (the clock stepped back, or a stamp from
+    the future) is stale.
     """
     state.last_location = fix
     state.last_location_at = now
@@ -188,7 +181,7 @@ def tick(state: DeviceState, policy: DevicePolicy, now: float, fix: GeoPoint) ->
     moved_m = None if state.coverage_center is None else geo.haversine_distance(fix, state.coverage_center)
     if moved_m is not None and moved_m > state.coverage_radius_m:
         return RefreshReason.LEFT_COVERAGE
-    if now - state.last_refresh_at > policy.stale_after:
+    if not 0 <= now - state.last_refresh_at <= policy.stale_after:  # NaN fails too
         return RefreshReason.STALE_24H
     if moved_m is not None and moved_m > policy.movement_threshold:
         return RefreshReason.MOVED
@@ -207,10 +200,12 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
     """Decide whether a picture may be taken at the given fix right now.
 
     Checks run in a fixed order: cache-age lockout, coverage, then
-    proximity to cached boxes. When several cached boxes are within the
+    proximity to cached boxes. A cache age outside [0, lockout_after] locks
+    out; a negative one means the clock stepped back or the stamp is from
+    the future. When several cached boxes are within the
     permissible distance the nearest one (ties broken by id) is reported.
     """
-    if state.last_refresh_at is not None and now - state.last_refresh_at > policy.lockout_after:
+    if state.last_refresh_at is not None and not 0 <= now - state.last_refresh_at <= policy.lockout_after:
         return CaptureDecision(Verdict.DENIED_STALE_CACHE)
     if (
         state.last_refresh_at is None
@@ -230,7 +225,7 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
     corners = iter(rows.ext[4 * lo : 4 * hi])
     nearest_id: str | None = None
     nearest_d = 0.0
-    for extent, box_id in zip(map(_cached_extent, zip(corners, corners, corners, corners)), rows.ids[lo:hi]):
+    for extent, box_id in zip(map(trusted_extent, zip(corners, corners, corners, corners)), rows.ids[lo:hi]):
         if extent.min_lat > lat_hi or extent.max_lat < lat_lo:
             continue
         d = geo.distance_to_box(fix, extent)

@@ -8,7 +8,9 @@ function on immutable values, safe to call from any thread.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 EARTH_RADIUS_M = 6_371_000.0  # mean earth radius
 MILE_M = 1_609.344
@@ -41,22 +43,25 @@ class GeoPoint:
         _check_range("lon", self.lon, -180.0, 180.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BoxExtent:
+class BoxExtent(namedtuple("BoxExtent", "min_lon min_lat max_lon max_lat")):
     """A normalized axis-aligned box: [min_lon, min_lat, max_lon, max_lat].
 
     Zero-area (degenerate) boxes are legal; a point site is a valid box.
     Boxes never cross the antimeridian: min_lon <= max_lon always holds in
-    plain coordinate space.
+    plain coordinate space. Construction checks the corners; ``_make`` and
+    ``_replace``, like ``trusted_extent``, do not.
     """
 
-    min_lon: float
-    min_lat: float
-    max_lon: float
-    max_lat: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_extent(self.min_lon, self.min_lat, self.max_lon, self.max_lat)
+    def __new__(cls, min_lon: float, min_lat: float, max_lon: float, max_lat: float) -> BoxExtent:
+        check_extent(min_lon, min_lat, max_lon, max_lat)
+        return tuple.__new__(cls, (min_lon, min_lat, max_lon, max_lat))
+
+
+# a BoxExtent from four corners check_extent has already passed, built in C;
+# BoxExtent's own __new__ is Python code, several times slower over a 25k-row cache
+trusted_extent = partial(tuple.__new__, BoxExtent)
 
 
 def check_extent(min_lon: float, min_lat: float, max_lon: float, max_lat: float) -> None:

@@ -27,15 +27,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, sub
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
 from .snapshot import CorruptSnapshot, StorageFailure, UnsyncedRename
 
 
-@dataclass(frozen=True, slots=True)
-class RestrictedBox:
+class RestrictedBox(NamedTuple):
     """A persisted restriction: extent plus identity and audit fields."""
 
     id: str
@@ -155,11 +154,6 @@ class _Point:
     __slots__ = ("lat", "lon")
 
 
-def _corners(extent: BoxExtent) -> tuple[float, float, float, float]:
-    """An extent as one row of the packed extent column."""
-    return extent.min_lon, extent.min_lat, extent.max_lon, extent.max_lat
-
-
 def _midpoints(lo: Iterable[float], hi: Iterable[float]) -> array:
     """A centroid column from two extent columns: geo.centroid's arithmetic."""
     return array("d", [(a + b) / 2.0 for a, b in zip(lo, hi)])
@@ -211,7 +205,7 @@ class Registry:
         # the rows, in centroid-latitude order
         self._lat = array("d")
         self._lon = array("d")
-        self._ext = array("d")  # 4 per row, as _corners packs them
+        self._ext = array("d")  # 4 per row, in BoxExtent's field order
         self._ids: list[str] = []
         self._row_lines: list[bytes] = []
         self._id_rng = id_rng if id_rng is not None else random.Random()
@@ -282,7 +276,7 @@ class Registry:
             hits: list[BoxExtent] = []
             for row in range(bisect_left(lats, union.min_lat - pad_h), bisect_right(lats, union.max_lat + pad_h)):
                 if lon_lo <= lons[row] <= lon_hi and row not in absorbed:
-                    box = BoxExtent(*ext[4 * row : 4 * row + 4])
+                    box = geo.trusted_extent(ext[4 * row : 4 * row + 4])
                     if geo.boxes_overlap(box, union):
                         absorbed[row] = self._ids[row]
                         hits.append(box)
@@ -332,7 +326,7 @@ class Registry:
 
     def _swap_rows(self, absorbed: Iterable[int], box_id: str, line: bytes, extent: BoxExtent) -> None:
         """Delete the absorbed rows and insert the stored box's, under the state lock."""
-        corners = array("d", _corners(extent))
+        corners = array("d", extent)
         half_w = max(self._max_half_w, max_half_extent(corners, 0))
         half_h = max(self._max_half_h, max_half_extent(corners, 1))
         centroid = geo.centroid(extent)
@@ -373,7 +367,7 @@ class Registry:
             for extent in extents:
                 box = RestrictedBox(self._new_id(new), extent, added_by, reason, float(now))
                 new[box.id] = snapshot.encode_record(box_record(box))
-                ext.extend(_corners(extent))
+                ext.extend(extent)
             ids, lines = self._ids + list(new), {**self._lines, **new}
             try:
                 if self.snapshot_path:

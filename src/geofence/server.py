@@ -40,7 +40,7 @@ class ApiConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     snapshot_path: str | None = None
-    audit_log_path: str | None = None
+    audit_log_path: str | None = None  # defaults to <snapshot_path>.audit
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     max_radius_m: float = DEFAULT_MAX_RADIUS_M
 
@@ -49,6 +49,8 @@ class ApiConfig:
             raise ValueError(f"invalid port {self.port}")
         if not (0 < self.max_body_bytes < math.inf and 0 < self.max_radius_m < math.inf):  # NaN fails too
             raise ValueError("size and radius limits must be finite and positive")
+        if self.snapshot_path and not self.audit_log_path:
+            self.audit_log_path = self.snapshot_path + ".audit"
 
 
 class _ApiError(Exception):

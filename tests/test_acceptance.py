@@ -300,9 +300,9 @@ def test_criterion_8_latency_shape(tmp_path):
     outcomes = []
     for attempt in range(3):
         report = run_bench(sizes, seed=88, workdir=str(tmp_path / f"run{attempt}"))
-        adds = [row.add.median_ms for row in report.rows]
-        fetches = [row.fetch.median_ms for row in report.rows]
-        startups = [row.startup.median_ms for row in report.rows]
+        adds = [row["add_ms"]["median"] for row in report["rows"]]
+        fetches = [row["fetch_ms"]["median"] for row in report["rows"]]
+        startups = [row["startup_ms"]["median"] for row in report["rows"]]
         ok = (
             all(adds[i] <= adds[i + 1] for i in range(len(adds) - 1))
             and all(f <= a for f, a in zip(fetches, adds))

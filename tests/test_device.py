@@ -264,6 +264,23 @@ def test_a_loaded_cache_with_a_disc_but_no_refresh_denies(tmp_path):
     assert device.capture_request(state, POLICY, 600.0, HOME).verdict is Verdict.DENIED_NO_COVERAGE
 
 
+def test_a_clock_stepped_back_before_the_refresh_locks_out_and_refreshes():
+    # a negative cache age used to read as fresh: the gate allowed and no trigger fired
+    state = fresh_state(at=4e9)
+    assert device.capture_request(state, POLICY, 1e9, HOME).verdict is Verdict.DENIED_STALE_CACHE
+    assert device.capture_request(state, POLICY, math.nan, HOME).verdict is Verdict.DENIED_STALE_CACHE
+    assert device.tick(state, POLICY, 1e9, HOME) is RefreshReason.STALE_24H
+
+
+def test_a_loaded_cache_stamped_in_the_future_locks_out_and_refreshes(tmp_path):
+    path = str(tmp_path / "cache.snap")
+    device.cache_save(fresh_state(at=4e9), path)
+    state = device.cache_load(path)
+    assert state.last_refresh_at == 4e9
+    assert device.capture_request(state, POLICY, 600.0, HOME).verdict is Verdict.DENIED_STALE_CACHE
+    assert device.tick(state, POLICY, 600.0, HOME) is RefreshReason.STALE_24H
+
+
 def test_lockout_is_monotone_without_refresh():
     state = fresh_state(at=0.0)
     t = 2_592_001.0
@@ -616,6 +633,17 @@ def test_only_the_device_module_imports_an_http_client():
 
 
 # -- cache persistence -------------------------------------------------------------
+
+
+def test_cached_rows_iterate_as_the_boxes_they_were_built_from():
+    rng = random.Random(18)
+    boxes = []
+    for i in range(50):
+        lon, lat = rng.uniform(-75, -73), rng.uniform(39, 41)
+        extent = BoxExtent(lon, lat, lon + rng.uniform(0, 0.02), lat + rng.uniform(0, 0.02))
+        boxes.append(RestrictedBox(f"b{i}", extent, f"op{i}", f"reason {i}", rng.uniform(0, 1e9)))
+    rows = device.BoxRows(map(device.box_record, boxes))
+    assert list(rows) == sorted(boxes, key=lambda b: geo.centroid(b.extent).lat)
 
 
 def test_cache_round_trip_empty_state(tmp_path):

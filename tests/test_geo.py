@@ -75,6 +75,24 @@ def test_box_corner_order_enforced():
         BoxExtent(min_lon=0, min_lat=1, max_lon=1, max_lat=0)
 
 
+@pytest.mark.parametrize(
+    "corners,message",
+    [
+        ((0, -91, 1, 1), "min_lat must be a finite value in [-90.0, 90.0], got -91"),
+        ((0, 0, 180.5, 1), "max_lon must be a finite value in [-180.0, 180.0], got 180.5"),
+        ((0, 0, 1, float("nan")), "max_lat must be a finite value in [-90.0, 90.0], got nan"),
+        ((True, 0, 1, 1), "min_lon must be a finite value in [-180.0, 180.0], got True"),
+        ((1, 0, 0, 1), "box corners out of order: [1, 0, 0, 1]"),
+    ],
+)
+def test_box_rejects_out_of_range_bool_and_out_of_order_corners_by_name(corners, message):
+    names = ("min_lon", "min_lat", "max_lon", "max_lat")
+    for build in (lambda: BoxExtent(*corners), lambda: BoxExtent(**dict(zip(names, corners)))):
+        with pytest.raises(InvalidCoordinate) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
 def test_poles_and_meridian_edges_are_legal():
     GeoPoint(lat=90, lon=180)
     GeoPoint(lat=-90, lon=-180)

@@ -1,4 +1,5 @@
-"""Every public name in src/geofence has a caller in the program, not only in its tests."""
+"""Every public name in src/geofence has a caller in the program, not only in its tests,
+and no value in src/geofence is held in two record types."""
 
 import ast
 import pathlib
@@ -55,3 +56,36 @@ def test_every_public_name_in_src_is_used_by_src_or_perfbench():
                 unused.append(qualified)
     assert unused == []
     assert set(ALLOWED) <= defined
+
+
+def record_types(tree: ast.Module):
+    """(name, field names) of each record type declared in a module: a ``namedtuple(...)``
+    call, or a class decorated ``@dataclass`` or based on ``NamedTuple``, by its annotated fields."""
+
+    def called(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called(node) == "namedtuple":
+            name, fields = (ast.literal_eval(arg) for arg in node.args[:2])
+            yield name, tuple(fields.replace(",", " ").split() if isinstance(fields, str) else fields)
+        elif isinstance(node, ast.ClassDef) and (
+            "dataclass" in map(called, node.decorator_list) or "NamedTuple" in map(called, node.bases)
+        ):
+            yield node.name, tuple(item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+
+
+def test_no_two_record_types_in_src_declare_the_same_fields():
+    """One value, one type: a record type whose fields copy another's is a shadow of it.
+
+    Matching is by field names only, in any order; the field types and the
+    methods are not compared."""
+    owner, twins = {}, []
+    for path in sorted((ROOT / "src" / "geofence").glob("*.py")):
+        for name, fields in record_types(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            key = tuple(sorted(fields))
+            if key in owner:
+                twins.append(" / ".join(sorted((owner[key], f"{path.stem}.{name}"))))
+            owner.setdefault(key, f"{path.stem}.{name}")
+    assert twins == []

@@ -12,7 +12,7 @@ from geofence import geo
 from geofence.geo import BoxExtent, GeoPoint
 from geofence.registry import Registry, box_record
 
-from conftest import stored_boxes
+from conftest import LiveServer, stored_boxes
 
 WIRE_FIELDS = {
     "id", "min_lon", "min_lat", "max_lon", "max_lat",
@@ -321,3 +321,18 @@ def test_wire_coordinates_carry_full_double_precision(live_server):
     assert status == 201
     assert body["stored"]["min_lon"] == -73.97654321098765
     assert body["stored"]["min_lat"] == 40.12345678901234
+
+
+def test_a_library_server_with_a_snapshot_keeps_absorbed_boxes_in_its_audit_log(tmp_path):
+    # only the CLI used to default the audit log, so a merge here lost the absorbed box
+    path = str(tmp_path / "reg.snap")
+    server = LiveServer(snapshot_path=path)
+    try:
+        status, first = post_box(server.url, body_for(BoxExtent(0, 0, 1, 1)))
+        assert status == 201
+        status, merged = post_box(server.url, body_for(BoxExtent(0.5, 0.5, 2, 2)))
+        assert status == 201 and merged["replaced_ids"] == [first["stored"]["id"]]
+    finally:
+        server.stop()
+    [entry] = [json.loads(line) for line in open(path + ".audit", encoding="utf-8")]
+    assert entry["merged_into"] == merged["stored"]["id"] and entry["box"] == first["stored"]
