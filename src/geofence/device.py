@@ -32,7 +32,7 @@ from urllib.parse import urlencode
 
 from . import geo, snapshot
 from .geo import GeoPoint, MILE_M, trusted_extent
-from .registry import RestrictedBox, box_record, collector_paused, max_half_extent, row_from_record
+from .registry import RestrictedBox, box_record, collector_paused, max_half_height, row_from_record
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -129,7 +129,7 @@ class BoxRows:
         self.ext = ext = array("d", [0.0]) * (4 * len(ids))
         for k, corner in enumerate(corners):  # min_lon, min_lat, max_lon, max_lat
             ext[k::4] = array("d", corner)
-        self.half_h = max_half_extent(ext, 1)
+        self.half_h = max_half_height(ext)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -213,10 +213,12 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
         or geo.haversine_distance(fix, state.coverage_center) > state.coverage_radius_m
     ):
         return CaptureDecision(Verdict.DENIED_NO_COVERAGE)
-    # as in Registry.boxes_within_radius: a box wholly outside this
-    # latitude band is farther than permissible_distance
+    # a box wholly outside this latitude band, or whose longitude range lies
+    # wholly outside this window (wrapping at +/-180), is farther than
+    # permissible_distance
     lat_cut = geo.lat_reach(policy.permissible_distance)
     lat_lo, lat_hi = fix.lat - lat_cut, fix.lat + lat_cut
+    lon, lon_cut = fix.lon, geo.lon_reach(policy.permissible_distance, fix.lat)
     # a box that reaches the band has its centroid within its half-height of it
     rows = state.cache
     pad = rows.half_h + 1e-9
@@ -225,10 +227,17 @@ def capture_request(state: DeviceState, policy: DevicePolicy, now: float, fix: G
     corners = iter(rows.ext[4 * lo : 4 * hi])
     nearest_id: str | None = None
     nearest_d = 0.0
-    for extent, box_id in zip(map(trusted_extent, zip(corners, corners, corners, corners)), rows.ids[lo:hi]):
-        if extent.min_lat > lat_hi or extent.max_lat < lat_lo:
+    for min_lon, min_lat, max_lon, max_lat, box_id in zip(corners, corners, corners, corners, rows.ids[lo:hi]):
+        if min_lat > lat_hi or max_lat < lat_lo:
             continue
-        d = geo.distance_to_box(fix, extent)
+        # off the range, the nearest longitude of the box is one of its edges
+        if (
+            not min_lon <= lon <= max_lon
+            and abs((min_lon - lon + 180.0) % 360.0 - 180.0) > lon_cut
+            and abs((max_lon - lon + 180.0) % 360.0 - 180.0) > lon_cut
+        ):
+            continue
+        d = geo.distance_to_box(fix, trusted_extent((min_lon, min_lat, max_lon, max_lat)))
         if d <= policy.permissible_distance and (
             nearest_id is None or (d, box_id) < (nearest_d, nearest_id)
         ):

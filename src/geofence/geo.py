@@ -110,6 +110,27 @@ def lat_reach(distance_m: float) -> float:
     return distance_m / METERS_PER_DEG * 1.000001 + 1e-9
 
 
+def lon_reach(distance_m: float, lat: float) -> float:
+    """Half-width, in degrees, of a longitude window holding all within distance_m of a point at lat.
+
+    By the haversine formula, sin(gap / 2) <= sin(d / 2R) / cos(lat') for a
+    point at latitude lat' and distance d, and lat' lies in the point's
+    lat_reach band. 180 when that band reaches a pole's cap; the slack
+    absorbs rounding, as in lat_reach.
+    """
+    cos_lim = math.cos(math.radians(min(90.0, abs(lat) + lat_reach(distance_m))))
+    sin_half = math.sin(min(math.pi, distance_m / EARTH_RADIUS_M) / 2.0)
+    if cos_lim <= sin_half:
+        return 180.0
+    return math.degrees(2.0 * math.asin(sin_half / cos_lim)) * 1.000001 + 1e-9
+
+
+def unit_vector(lat: float, lon: float) -> tuple[float, float, float]:
+    """The direction of a position from the Earth's centre, (x, y, z) on the unit sphere; z points north."""
+    phi, lam = math.radians(lat), math.radians(lon)
+    return math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)
+
+
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in meters.
 

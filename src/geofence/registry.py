@@ -6,10 +6,13 @@ remains, so the stored set is always pairwise disjoint. Vicinity queries
 return every box whose centroid lies within a great-circle radius of a
 point. The store is a set of parallel columns, one row per box, sorted by
 centroid latitude: a query or an overlap search bisects a latitude band of
-them and rejects by longitude before the exact test, so it prunes
-candidates but never changes results. When bound to a snapshot path, every
-add is persisted atomically before it returns, and boxes absorbed by merges
-are preserved in an append-only audit log.
+them. A query then decides each row by its centroid's unit vector, sending
+only the rows too close to the radius to call to the exact haversine test;
+an overlap search tests each row's own longitude range before the exact
+overlap test. Both prune work but never change results. When bound to a
+snapshot path, every add is persisted atomically before it returns, and
+boxes absorbed by merges are preserved in an append-only audit log; a load
+cuts from that log the entries of a merge that never committed.
 """
 
 from __future__ import annotations
@@ -69,13 +72,20 @@ def box_record(box: RestrictedBox) -> dict:
     }
 
 
-def encode_boxes(lines: Iterable[bytes]) -> bytes:
-    """JSON array of canonical record lines, such as a query returns: the lines joined.
+def encode_boxes(lines: list[bytes]) -> bytes:
+    """The GET reply for a query's canonical record lines: ``{"boxes":[...],"count":n}``.
 
-    Disk and wire share one encoding. A query's lines are taken as of the
-    query, so a box a concurrent merge removed is served as queried.
+    Disk and wire share one encoding: each record is served as its snapshot
+    line, as of the query, so a box a concurrent merge removed is served as
+    queried. One join builds the body, so a 25-mile reply (about 6 MB) is
+    never copied whole.
     """
-    return b"[" + b",".join(lines) + b"]"
+    if not lines:
+        return b'{"boxes":[],"count":0}'
+    parts = lines.copy()  # the head and tail ride on the first and last lines
+    parts[0] = b'{"boxes":[' + parts[0]
+    parts[-1] += b'],"count":%d}' % len(lines)
+    return b",".join(parts)
 
 
 # box_record's keys in sorted order, and the type of each value
@@ -85,6 +95,7 @@ _RECORD_KEYS = (
 )
 _RECORD_TYPES = (str, float, float, float, str, float, float, float, float, str)
 _fields = itemgetter(*_RECORD_KEYS)
+_centroid = itemgetter("centroid_lat", "centroid_lon")
 
 
 def _is_canonical(line: bytes, record: dict) -> bool:
@@ -143,37 +154,44 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-class _Point:
-    """A centroid read back from the columns, for the haversine filter.
-
-    A query keeps one and moves it to each candidate in turn. The centroids
-    were validated when stored, so it skips ``GeoPoint``'s range checks,
-    which made a 25-mile query over 100k boxes about 50% slower.
-    """
-
-    __slots__ = ("lat", "lon")
-
-
 def _midpoints(lo: Iterable[float], hi: Iterable[float]) -> array:
     """A centroid column from two extent columns: geo.centroid's arithmetic."""
     return array("d", [(a + b) / 2.0 for a, b in zip(lo, hi)])
 
 
-def max_half_extent(ext: array, axis: int) -> float:
-    """The largest half-width (axis 0) or half-height (axis 1), in degrees, over packed extents; 0 when none."""
-    return max(map(sub, ext[axis + 2 :: 4], ext[axis::4]), default=0.0) / 2.0
+def max_half_height(ext: array) -> float:
+    """The largest half-height, in degrees, over packed extents; 0 when none."""
+    return max(map(sub, ext[3::4], ext[1::4]), default=0.0) / 2.0
+
+
+# How far the query's unit-vector test stays from cos(r / R) before it
+# decides a row without haversine_distance. Each unit-vector component is a
+# product of a sine and a cosine of an angle from math.radians, all within an
+# ulp or two, so it is within 2e-15 of the true one, and a dot product of two
+# such vectors is within 1e-14 of the cosine of the true angle between the
+# points. haversine_distance compares the angle 2 atan2(sqrt(h), sqrt(1 - h))
+# with r / R, where cos(angle) = 1 - 2h; its h is within 5e-15 of the true
+# one (the coordinate differences it takes are rounded to half an ulp of 360
+# degrees, under 1e-15 rad, and each of its terms is at most 1), and its
+# sqrt, atan2, the product by R and r / R move the angle by a few ulps of
+# pi, which moves a cosine by no more, as |d cos/d angle| <= 1. cos(r / R)
+# itself is within an ulp. So the two tests' cosines agree within 3e-14, and
+# a margin over 30 times that decides every row outside it as the haversine
+# test does; the rows inside it get that test.
+_DOT_EPS = 1e-12
 
 
 class Registry:
     """The restricted-box store.
 
     The state is ``_lines`` (box id -> canonical snapshot line, in snapshot
-    order) and one row per box in five parallel columns sorted by centroid
-    latitude: the centroid latitudes and longitudes, the extents packed
-    four floats a row (min_lon, min_lat, max_lon, max_lat), the ids, and
-    the lines again. No box object is kept: ``add_box`` builds one for its
-    outcome, and a query answers with the lines.
-    The centroid columns hold the extents' midpoints; no box carries one.
+    order) and one row per box in parallel columns sorted by centroid
+    latitude: the centroid latitudes, the x, y and z of the centroids' unit
+    vectors, the extents packed four floats a row (min_lon, min_lat,
+    max_lon, max_lat), the ids, and the lines again. No box object is kept:
+    ``add_box`` builds one for its outcome, and a query answers with the
+    lines. The centroid columns come from the extents' midpoints; no box
+    carries one.
 
     Thread-safe behind two locks. A writer mutex serialises every mutator
     (``add_box``, ``bulk_load``, ``load_snapshot``); the writer does its
@@ -204,14 +222,13 @@ class Registry:
         self._lines: dict[str, bytes] = {}  # id -> snapshot line, in snapshot order
         # the rows, in centroid-latitude order
         self._lat = array("d")
-        self._lon = array("d")
+        self._x, self._y, self._z = array("d"), array("d"), array("d")  # the centroids' unit vectors
         self._ext = array("d")  # 4 per row, in BoxExtent's field order
         self._ids: list[str] = []
         self._row_lines: list[bytes] = []
         self._id_rng = id_rng if id_rng is not None else random.Random()
-        # conservative bound on stored box half-extents, in degrees; only
-        # grows, which keeps the overlap candidate search a true superset
-        self._max_half_w = 0.0
+        # conservative bound on stored box half-heights, in degrees; only
+        # grows, which keeps the overlap candidate band a true superset
         self._max_half_h = 0.0
 
     # -- identity ---------------------------------------------------------
@@ -234,26 +251,22 @@ class Registry:
             raise ValueError("radius_m must be positive")
         # meridian-arc bound: no centroid within radius_m lies outside the band
         lat_pad = geo.lat_reach(radius_m)
-        lat_lo, lat_hi = center.lat - lat_pad, center.lat + lat_pad
-        # widest possible longitude gap at distance radius_m, reached at the
-        # narrowest parallel of the band: sin(gap/2) = sin(r/2R) / cos(lat)
-        cos_lim = math.cos(math.radians(min(90.0, max(abs(lat_lo), abs(lat_hi)))))
-        sin_half = math.sin(min(math.pi, radius_m / geo.EARTH_RADIUS_M) / 2.0)
-        if cos_lim <= sin_half:
-            lon_pad = 180.0
-        else:
-            lon_pad = math.degrees(2.0 * math.asin(sin_half / cos_lim)) * 1.000001 + 1e-9
+        # a row is in when the cosine of its centroid's angle from center is at least cos(r / R)
+        cos_r = math.cos(min(math.pi, radius_m / geo.EARTH_RADIUS_M))
+        accept, reject = cos_r + _DOT_EPS, cos_r - _DOT_EPS
+        cx, cy, cz = geo.unit_vector(center.lat, center.lon)
         with self._lock:
             lats = self._lat
-            lo, hi = bisect_left(lats, lat_lo), bisect_right(lats, lat_hi)
-            band = zip(self._row_lines[lo:hi], lats[lo:hi], self._lon[lo:hi])
-        lon = center.lon
-        point = _Point()  # the distance call keeps no reference to it
+            lo, hi = bisect_left(lats, center.lat - lat_pad), bisect_right(lats, center.lat + lat_pad)
+            band = zip(self._row_lines[lo:hi], self._x[lo:hi], self._y[lo:hi], self._z[lo:hi])
         lines = []
-        for line, point.lat, point.lon in band:
-            if (
-                abs((point.lon - lon + 180.0) % 360.0 - 180.0) <= lon_pad
-                and geo.haversine_distance(center, point) <= radius_m
+        for line, x, y, z in band:
+            dot = x * cx + y * cy + z * cz
+            if dot >= accept or (
+                dot >= reject
+                # too close to call: the exact test on the centroid the line records, which
+                # row_from_record holds to the midpoint the row's columns were computed from
+                and geo.haversine_distance(center, GeoPoint(*_centroid(json.loads(line)))) <= radius_m
             ):
                 lines.append(line)
         return lines
@@ -267,15 +280,15 @@ class Registry:
         """
         union = extent
         absorbed: dict[int, str] = {}
-        lats, lons, ext = self._lat, self._lon, self._ext
-        pad_w = self._max_half_w + 1e-9
+        lats, ext = self._lat, self._ext
         pad_h = self._max_half_h + 1e-9
         while True:
-            # a box overlapping union has its centroid within its half-extent of it
-            lon_lo, lon_hi = union.min_lon - pad_w, union.max_lon + pad_w
+            # a box overlapping union has its centroid within its half-height of it
+            lon_lo, lon_hi = union.min_lon, union.max_lon
             hits: list[BoxExtent] = []
             for row in range(bisect_left(lats, union.min_lat - pad_h), bisect_right(lats, union.max_lat + pad_h)):
-                if lon_lo <= lons[row] <= lon_hi and row not in absorbed:
+                # the row's own longitude range first: it rules out most of the band
+                if ext[4 * row] <= lon_hi and ext[4 * row + 2] >= lon_lo and row not in absorbed:
                     box = geo.trusted_extent(ext[4 * row : 4 * row + 4])
                     if geo.boxes_overlap(box, union):
                         absorbed[row] = self._ids[row]
@@ -327,23 +340,25 @@ class Registry:
     def _swap_rows(self, absorbed: Iterable[int], box_id: str, line: bytes, extent: BoxExtent) -> None:
         """Delete the absorbed rows and insert the stored box's, under the state lock."""
         corners = array("d", extent)
-        half_w = max(self._max_half_w, max_half_extent(corners, 0))
-        half_h = max(self._max_half_h, max_half_extent(corners, 1))
+        half_h = max(self._max_half_h, max_half_height(corners))
         centroid = geo.centroid(extent)
+        x, y, z = geo.unit_vector(centroid.lat, centroid.lon)
         with self._lock:
             # descending, so each deletion leaves the rows still to go in place
             for row in sorted(absorbed, reverse=True):
                 del self._lines[self._ids[row]]
-                del self._lat[row], self._lon[row], self._ext[4 * row : 4 * row + 4]
+                del self._lat[row], self._x[row], self._y[row], self._z[row], self._ext[4 * row : 4 * row + 4]
                 del self._ids[row], self._row_lines[row]
             self._lines[box_id] = line
             row = bisect_right(self._lat, centroid.lat)
             self._lat.insert(row, centroid.lat)
-            self._lon.insert(row, centroid.lon)
+            self._x.insert(row, x)
+            self._y.insert(row, y)
+            self._z.insert(row, z)
             self._ext[4 * row : 4 * row] = corners
             self._ids.insert(row, box_id)
             self._row_lines.insert(row, line)
-            self._max_half_w, self._max_half_h = half_w, half_h
+            self._max_half_h = half_h
 
     def bulk_load(
         self,
@@ -381,7 +396,11 @@ class Registry:
     # -- persistence ------------------------------------------------------
 
     def load_snapshot(self, path: str | None = None) -> int:
-        """Replace the registry contents with a snapshot's, returning the count."""
+        """Replace the registry contents with a snapshot's, returning the count.
+
+        With ``audit_log_path`` bound, the log is repaired against the
+        snapshot first (``_repair_audit``).
+        """
         source = path or self.snapshot_path
         if not source:
             raise ValueError("no snapshot path given or bound")
@@ -404,6 +423,8 @@ class Registry:
                     box = RestrictedBox(box_id, BoxExtent(*row[1:5]), *row[6:])
                     lines[box_id] = snapshot.encode_record(box_record(box))
                 ext.extend(row[1:5])
+            if self.audit_log_path:
+                self._repair_audit(lines)
             self._publish(lines, list(lines), ext)
             return len(lines)
 
@@ -411,21 +432,24 @@ class Registry:
         """Swap in a whole new state: the id -> line map and its rows, in any order.
 
         ``ids`` and the packed extents ``ext`` give the rows; the centroid
-        columns are their extents' midpoints, as ``geo.centroid`` computes
-        them. A merged box contains every box it absorbed, so the
-        half-extent bound over the stored boxes alone is the running maximum.
+        latitudes and unit vectors come from their extents' midpoints, as
+        ``geo.centroid`` computes them. A merged box contains every box it
+        absorbed, so the half-height bound over the stored boxes alone is the
+        running maximum.
         """
         lat = _midpoints(ext[1::4], ext[3::4])
         order = sorted(range(len(ids)), key=lat.__getitem__)  # stable; an old store is one sorted run
         ext = array("d", chain.from_iterable(ext[4 * row : 4 * row + 4] for row in order))
         ids = [ids[row] for row in order]
         row_lines = [lines[box_id] for box_id in ids]
-        lat, lon = _midpoints(ext[1::4], ext[3::4]), _midpoints(ext[0::4], ext[2::4])
-        half_w, half_h = max_half_extent(ext, 0), max_half_extent(ext, 1)
+        lat = _midpoints(ext[1::4], ext[3::4])
+        xyz = array("d", chain.from_iterable(map(geo.unit_vector, lat, _midpoints(ext[0::4], ext[2::4]))))
+        x, y, z = xyz[0::3], xyz[1::3], xyz[2::3]
+        half_h = max_half_height(ext)
         with self._lock:
             self._lines, self._ids, self._row_lines = lines, ids, row_lines
-            self._lat, self._lon, self._ext = lat, lon, ext
-            self._max_half_w, self._max_half_h = half_w, half_h
+            self._lat, self._x, self._y, self._z, self._ext = lat, x, y, z, ext
+            self._max_half_h = half_h
 
     def _append_audit(self, merged_into: str, absorbed: Iterable[bytes], now: float) -> int:
         """Append one entry per absorbed box's line, durably; return the prior file size."""
@@ -441,6 +465,40 @@ class Registry:
         except OSError as exc:
             raise StorageFailure(f"cannot append audit log {self.audit_log_path}: {exc}") from exc
         return size
+
+    def _repair_audit(self, stored: Container[str]) -> None:
+        """Cut the audit log's trailing entries of a merge that never committed, durably.
+
+        A crash after the audit append and before the snapshot's rename
+        leaves the last add's entries, the last line perhaps partial, naming
+        a merged box the snapshot does not hold. An entry is committed when
+        its ``merged_into`` box is stored or absorbed by a later committed
+        entry; an uncommitted entry before a committed one is CorruptSnapshot.
+        """
+        try:
+            with open(self.audit_log_path, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise StorageFailure(f"cannot read audit log {self.audit_log_path}: {exc}") from exc
+        *entries, partial = data.split(b"\n")
+        end = len(data) - len(partial)  # a partial last line is always cut
+        absorbed: set[str] = set()  # ids of boxes the committed entries after this one absorbed
+        for line in reversed(entries):
+            try:
+                entry = json.loads(line)
+                merged_into = entry["merged_into"]
+                if merged_into in stored or merged_into in absorbed:
+                    absorbed.add(entry["box"]["id"])
+                    continue
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptSnapshot(f"{self.audit_log_path}: bad audit entry {line[:80]!r}") from exc
+            if absorbed:
+                raise CorruptSnapshot(f"{self.audit_log_path}: an entry before the last add names {merged_into!r}")
+            end -= len(line) + 1
+        if end < len(data):
+            self._truncate_audit(end)
 
     def _truncate_audit(self, size: int) -> None:
         """Cut the audit log back to size, durably, dropping uncommitted entries."""

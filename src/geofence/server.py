@@ -136,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
             log.exception("unhandled error in GET /v1/boxes")
             self._send_error_json(500, "internal_error", "unexpected server error")
         else:
-            self._send_body(200, b'{"boxes":%b,"count":%d}' % (encode_boxes(lines), len(lines)))
+            self._send_body(200, encode_boxes(lines))
 
     # -- request handling -------------------------------------------------
 

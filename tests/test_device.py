@@ -11,7 +11,7 @@ import types
 
 import pytest
 
-from geofence import device, geo, snapshot
+from geofence import datasets, device, geo, snapshot
 from geofence.device import (
     DevicePolicy,
     DeviceState,
@@ -445,6 +445,89 @@ def test_bisected_gate_matches_a_linear_scan_with_giants_edges_and_ties():
         for _ in range(5):
             near = geo.destination(fix, rng.uniform(0.0, 360.0), rng.uniform(0.0, 3_000.0))
             assert_gate_matches_linear_scan(state, boxes, near)
+
+
+def _wrap_lon(lon):
+    return (lon + 180.0) % 360.0 - 180.0 if not -180.0 <= lon <= 180.0 else lon
+
+
+def lon_edge_boxes(rng, fix, tag):
+    """Boxes whose near edge is permissible_distance east or west of the fix (and an ulp either side),
+    wrapped across +/-180, plus clutter around the fix."""
+    boxes = []
+    lat_cos = math.cos(math.radians(fix.lat))
+    sin_half = math.sin(POLICY.permissible_distance / geo.EARTH_RADIUS_M / 2.0)
+    if lat_cos > sin_half:
+        # the longitude gap at which a point on the fix's parallel is exactly permissible_distance away
+        gap = math.degrees(2.0 * math.asin(sin_half / lat_cos))
+        for side in (-1.0, 1.0):
+            edge = fix.lon + side * gap
+            for nudge, near in enumerate((math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))):
+                near = _wrap_lon(near)
+                far = near + side * rng.uniform(0.0, 0.01)
+                if -180.0 <= far <= 180.0:
+                    lo, hi = min(near, far), max(near, far)
+                    boxes.append(cached_box(BoxExtent(lo, fix.lat - 0.001, hi, fix.lat + 0.001), f"{tag}-{side}{nudge}"))
+    # the reach's easternmost and westernmost points, poleward of the fix's parallel
+    for side, bearings in (("e", range(0, 181)), ("w", range(180, 361))):
+        rim = [geo.destination(fix, b, POLICY.permissible_distance * (1 - 1e-9)) for b in bearings]
+        far = max(rim, key=lambda p: abs(_wrap_lon(p.lon - fix.lon)))
+        boxes.append(cached_box(BoxExtent(far.lon, far.lat, far.lon, far.lat), f"{tag}-{side}-rim"))
+    spread = min(180.0, 0.02 / max(lat_cos, 1e-4))  # about 2 km of longitude, all of it at a pole
+    for i in range(rng.randint(0, 40)):
+        lat = min(90.0, max(-90.0, fix.lat + rng.uniform(-0.02, 0.02)))
+        lon = _wrap_lon(fix.lon + rng.uniform(-spread, spread))
+        extent = BoxExtent(lon, lat, min(180.0, lon + rng.uniform(0.0, spread / 8)), min(90.0, lat + rng.uniform(0.0, 0.005)))
+        boxes.append(cached_box(extent, f"{tag}-r{i}"))
+        if rng.random() < 0.2:  # an equal-distance twin: the lower id must win
+            boxes.append(cached_box(extent, f"{tag}-q{i}"))
+    return boxes
+
+
+def test_gate_longitude_window_matches_a_linear_scan_at_the_poles_and_the_antimeridian():
+    rng = random.Random(1901)
+    places = (
+        lambda: GeoPoint(rng.uniform(89.9, 90.0), rng.uniform(-180.0, 180.0)),
+        lambda: GeoPoint(rng.uniform(-90.0, -89.9), rng.uniform(-180.0, 180.0)),
+        lambda: GeoPoint(rng.uniform(70.0, 89.9), rng.uniform(-180.0, 180.0)),
+        lambda: GeoPoint(rng.uniform(-60.0, 60.0), rng.choice((180.0, -180.0, rng.uniform(179.99, 180.0)))),
+        lambda: GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, -179.99)),
+        lambda: GeoPoint(rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)),
+    )
+    for trial in range(240):
+        fix = places[trial % len(places)]()
+        boxes = lon_edge_boxes(rng, fix, f"t{trial}")
+        rng.shuffle(boxes)
+        state = fresh_state(center=fix, boxes=boxes, radius=1e7)
+        assert_gate_matches_linear_scan(state, boxes, fix)
+        for _ in range(3):
+            near = geo.destination(fix, rng.uniform(0.0, 360.0), rng.uniform(0.0, 1_000.0))
+            assert_gate_matches_linear_scan(state, boxes, near)
+
+
+def test_gate_measures_few_boxes_on_a_dense_cache(monkeypatch):
+    center = GeoPoint(40.0, -74.5)
+    extents = datasets.generate_extents(25_000, center, 25 * MILE_M, random.Random(1903))
+    boxes = [cached_box(extent, f"b{i:05d}") for i, extent in enumerate(extents)]
+    state = fresh_state(center=center, boxes=boxes)
+    rng = random.Random(1904)
+    fixes = [geo.destination(center, rng.uniform(0.0, 360.0), rng.uniform(0.0, 20 * MILE_M)) for _ in range(100)]
+    calls = []
+    distance_to_box = geo.distance_to_box
+
+    def counting(p, extent):
+        calls[-1] += 1
+        return distance_to_box(p, extent)
+
+    monkeypatch.setattr(geo, "distance_to_box", counting)
+    decisions = []
+    for fix in fixes:
+        calls.append(0)
+        decisions.append(device.capture_request(state, POLICY, 600.0, fix))
+    monkeypatch.undo()
+    assert max(calls) < 50
+    for fix, decision in list(zip(fixes, decisions))[:5]:
+        assert (decision.verdict, decision.box_id, decision.distance_m) == linear_scan_gate(boxes, fix)
 
 
 def test_bisected_gate_on_an_empty_cache_allows():

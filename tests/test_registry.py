@@ -7,6 +7,7 @@ import math
 import os
 import random
 import stat
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -265,6 +266,64 @@ def test_radius_query_matches_linear_scan_oracle():
                 assert box.id in assert_query_matches_scan(reg, center, exact)
 
 
+@pytest.mark.parametrize("radius", [1.0, 5_000.0, 25 * MILE_M, WORLD_RADIUS_M], ids=["1m", "5km", "25mi", "world"])
+def test_centroids_at_the_radius_and_an_ulp_either_side_match_the_linear_scan(radius):
+    rng = random.Random(int(radius) + 1907)
+    centres = [
+        GeoPoint(0.0, rng.uniform(-179.0, 179.0)),  # the equator
+        GeoPoint(90.0, 0.0), GeoPoint(rng.uniform(89.99, 90.0), rng.uniform(-180.0, 180.0)),  # north pole
+        GeoPoint(-90.0, 0.0), GeoPoint(rng.uniform(-90.0, -89.99), rng.uniform(-180.0, 180.0)),  # south pole
+        GeoPoint(rng.uniform(-60.0, 60.0), 180.0), GeoPoint(rng.uniform(-60.0, 60.0), -180.0),  # +/-180
+        GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(179.999, 180.0)),
+    ]
+    def at(center, distance):
+        if abs(center.lat) < 90.0:
+            return geo.destination(center, rng.uniform(0.0, 360.0), distance)
+        # from a pole every bearing is south or north: a ring is a parallel
+        colat = math.degrees(min(math.pi, distance / geo.EARTH_RADIUS_M))
+        return GeoPoint(math.copysign(90.0 - colat, center.lat), rng.uniform(-180.0, 180.0))
+
+    for center in centres:
+        # point boxes, so each centroid is the point itself; one ring at the radius, one just inside and outside it
+        points = [at(center, radius) for _ in range(40)]
+        points += [at(center, radius * f) for f in (1 - 1e-9, 1 + 1e-9) * 10]
+        reg = Registry()
+        reg.bulk_load({BoxExtent(p.lon, p.lat, p.lon, p.lat) for p in points}, "gen", "", now=0)
+        assert_query_matches_scan(reg, center, radius)
+        boxes = stored_boxes(reg)
+        for box in rng.sample(boxes, min(10, len(boxes))):
+            exact = geo.haversine_distance(center, geo.centroid(box.extent))
+            for r in (math.nextafter(exact, 0.0), exact, math.nextafter(exact, math.inf)):
+                if r > 0:
+                    assert (box.id in assert_query_matches_scan(reg, center, r)) is (r >= exact)
+
+
+def test_a_far_away_giant_does_not_widen_a_later_adds_overlap_search(monkeypatch):
+    store = datasets.generate_extents(20_000, GeoPoint(40.0, -74.5), 50 * MILE_M, random.Random(1908))
+    small = BoxExtent(-74.5, 40.0, -74.499, 40.001)
+    checks = []
+    overlap = geo.boxes_overlap
+
+    def counting(a, b):
+        checks[-1] += 1
+        return overlap(a, b)
+
+    for giant in (False, True):
+        reg = Registry(id_rng=random.Random(1909))
+        reg.bulk_load(store, "gen", "", now=0)
+        if giant:
+            # 120 adjacent 0.01 degree boxes at 50N 10E merge into one 1.2 degrees wide
+            for i in range(120):
+                add(reg, BoxExtent(10.0 + 0.01 * i, 50.0, 10.0 + 0.01 * (i + 1), 50.01))
+            assert reg.count() == len(store) + 1
+        monkeypatch.setattr(geo, "boxes_overlap", counting)
+        checks.append(0)
+        add(reg, small)
+        monkeypatch.undo()
+    before, after = checks
+    assert after <= before
+
+
 def test_merge_absorbs_one_of_twins_with_equal_centroid_latitudes():
     reg = Registry()
     twins = [add(reg, BoxExtent(i, 10.0, i + 0.5, 11.0)).stored for i in range(6)]
@@ -471,10 +530,13 @@ def test_encode_boxes_joins_the_snapshot_lines(tmp_path):
     lines = reg.boxes_within_radius(GeoPoint(0, 0), 100_000.0)
     assert lines
     encoded = encode_boxes(lines)
-    assert json.loads(encoded) == [json.loads(line) for line in lines]
+    assert json.loads(encoded) == {"boxes": [json.loads(line) for line in lines], "count": len(lines)}
     on_disk = {json.loads(line)["id"]: line + b"\n" for line in open(path, "rb").read().splitlines()[1:]}
-    assert encoded == b"[" + b",".join(on_disk[json.loads(line)["id"]] for line in lines) + b"]"
-    assert encode_boxes([]) == b"[]"
+    joined = b",".join(on_disk[json.loads(line)["id"]] for line in lines)
+    assert encoded == b'{"boxes":[' + joined + b'],"count":%d}' % len(lines)
+    for n in range(4):
+        assert encode_boxes(lines[:n]) == b'{"boxes":[' + b",".join(lines[:n]) + b'],"count":%d}' % n
+    assert encode_boxes([]) == b'{"boxes":[],"count":0}'
 
 
 # -- loading a snapshot: which lines are kept as they are ---------------------
@@ -495,7 +557,7 @@ def test_load_keeps_a_canonical_line_byte_for_byte(tmp_path, live_server_factory
     reg = Registry()
     assert reg.load_snapshot(path) == 1
     centroid = geo.centroid(box.extent)
-    assert encode_boxes(reg.boxes_within_radius(centroid, 1000.0)) == b"[" + own + b"]"
+    assert encode_boxes(reg.boxes_within_radius(centroid, 1000.0)) == b'{"boxes":[' + own + b'],"count":1}'
     server = live_server_factory(registry=reg)
     query = f"lat={centroid.lat}&lon={centroid.lon}&radius_m=1000"
     status, body = device.http_request("GET", f"{server.url}/v1/boxes?{query}")
@@ -528,8 +590,8 @@ def test_load_re_encodes_a_line_that_is_not_canonical(tmp_path, how):
     assert reg.load_snapshot(path) == 1
     [loaded] = stored_boxes(reg)
     encoded = encode_boxes(reg.boxes_within_radius(geo.centroid(loaded.extent), 1000.0))
-    assert encoded == b"[" + snapshot.encode_record(box_record(loaded)) + b"]"
-    assert json.loads(encoded) == [box_record(loaded)]
+    assert encoded == b'{"boxes":[' + snapshot.encode_record(box_record(loaded)) + b'],"count":1}'
+    assert json.loads(encoded)["boxes"] == [box_record(loaded)]
     assert {k: v for k, v in json.loads(foreign).items() if k != "note"} == box_record(loaded)
 
 
@@ -544,7 +606,8 @@ def test_snapshot_whose_last_line_has_no_newline_survives_the_next_add(tmp_path)
     reloaded = Registry()
     assert reloaded.load_snapshot(path) == 3
     assert {b.id: b for b in stored_boxes(reloaded)} == {b.id: b for b in (first, last, added)}
-    assert encode_boxes(reg.boxes_within_radius(geo.centroid(last.extent), 1000.0)) == b"[" + last_line + b"]"
+    last_reply = encode_boxes(reg.boxes_within_radius(geo.centroid(last.extent), 1000.0))
+    assert last_reply == b'{"boxes":[' + last_line + b'],"count":1}'
 
 
 @pytest.mark.parametrize(
@@ -783,6 +846,91 @@ def test_no_audit_entries_for_clean_adds(tmp_path):
     assert not audit.exists()
 
 
+# -- repairing the audit log on load ---------------------------------------------
+
+# loads a store, makes the snapshot write end the process, then makes a merging add
+_CRASHING_ADD = """
+import os, sys
+from geofence import snapshot
+from geofence.geo import BoxExtent
+from geofence.registry import Registry
+
+reg = Registry(snapshot_path=sys.argv[1], audit_log_path=sys.argv[2])
+reg.load_snapshot()
+snapshot.write_snapshot = lambda *args: os._exit(17)
+reg.add_box(BoxExtent(*map(float, sys.argv[3:7])), "op", "crash", now=9.0)
+"""
+
+
+def crash_during_add(path, audit, extent):
+    src = os.path.dirname(os.path.dirname(registry.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = [sys.executable, "-c", _CRASHING_ADD, path, str(audit), *map(str, extent)]
+    assert subprocess.run(args, env=env, timeout=60).returncode == 17
+
+
+def test_a_crash_at_the_snapshot_write_of_a_merge_leaves_no_audit_entry_after_the_load(tmp_path):
+    path, audit = str(tmp_path / "reg.snap"), tmp_path / "reg.snap.audit"
+    reg = Registry(snapshot_path=path, audit_log_path=str(audit))
+    first = add(reg, BoxExtent(0, 0, 1, 1)).stored
+    crash_during_add(path, audit, BoxExtent(0.5, 0.5, 2, 2))
+    [torn] = [json.loads(line) for line in audit.read_bytes().splitlines()]
+    assert torn["box"]["id"] == first.id and torn["merged_into"] != first.id
+    restarted = Registry(snapshot_path=path, audit_log_path=str(audit))
+    assert restarted.load_snapshot() == 1
+    assert audit.read_bytes() == b""
+    assert stored_boxes(restarted) == [first]
+    # the next merge logs as usual, and a restart keeps its entry
+    merged = add(restarted, BoxExtent(0.5, 0.5, 2, 2)).stored
+    logged = audit.read_bytes()
+    assert [json.loads(line)["merged_into"] for line in logged.splitlines()] == [merged.id]
+    assert Registry(snapshot_path=path, audit_log_path=str(audit)).load_snapshot() == 1
+    assert audit.read_bytes() == logged
+
+
+def test_a_crash_cuts_only_the_last_adds_entries_behind_a_merge_chain(tmp_path):
+    path, audit = str(tmp_path / "reg.snap"), tmp_path / "reg.snap.audit"
+    reg = Registry(snapshot_path=path, audit_log_path=str(audit))
+    add(reg, BoxExtent(0, 0, 1, 1))
+    add(reg, BoxExtent(3, 0, 4, 1))
+    add(reg, BoxExtent(0.5, 0.5, 2, 2))  # its box is absorbed by the next merge
+    add(reg, BoxExtent(1.5, 0.5, 3.5, 2))
+    committed = audit.read_bytes()
+    assert len(committed.splitlines()) == 3
+    crash_during_add(path, audit, BoxExtent(3.9, 1.9, 5, 3))
+    assert len(audit.read_bytes().splitlines()) == 4
+    assert Registry(snapshot_path=path, audit_log_path=str(audit)).load_snapshot() == 1
+    assert audit.read_bytes() == committed
+
+
+def test_a_partial_last_audit_line_is_cut_on_load(tmp_path):
+    path, audit = str(tmp_path / "reg.snap"), tmp_path / "reg.snap.audit"
+    reg = Registry(snapshot_path=path, audit_log_path=str(audit))
+    add(reg, BoxExtent(0, 0, 1, 1))
+    add(reg, BoxExtent(0.5, 0.5, 2, 2))
+    committed = audit.read_bytes()
+    with open(audit, "ab") as f:
+        f.write(committed[: len(committed) // 2])  # a crash inside the next append
+    assert Registry(snapshot_path=path, audit_log_path=str(audit)).load_snapshot() == 1
+    assert audit.read_bytes() == committed
+
+
+def test_an_uncommitted_audit_entry_before_the_tail_is_corrupt(tmp_path):
+    path, audit = str(tmp_path / "reg.snap"), tmp_path / "reg.snap.audit"
+    reg = Registry(snapshot_path=path, audit_log_path=str(audit))
+    add(reg, BoxExtent(0, 0, 1, 1))
+    add(reg, BoxExtent(0.5, 0.5, 2, 2))
+    [entry] = audit.read_bytes().splitlines(keepends=True)
+    stray = entry.replace(b'"merged_into":"', b'"merged_into":"gone')
+    audit.write_bytes(stray + entry)
+    restarted = Registry(audit_log_path=str(audit))
+    kept = add(restarted, BoxExtent(10, 10, 11, 11)).stored
+    with pytest.raises(CorruptSnapshot, match="gone"):
+        restarted.load_snapshot(path)
+    assert stored_boxes(restarted) == [kept]
+    assert audit.read_bytes() == stray + entry
+
+
 # -- record codec ----------------------------------------------------------------
 
 
@@ -938,14 +1086,15 @@ def test_load_snapshot_rejects_a_created_at_that_is_not_a_finite_float(tmp_path,
 
 def assert_columns_consistent(reg):
     n = len(reg._ids)
-    assert len(reg._lat) == len(reg._lon) == len(reg._row_lines) == n and len(reg._ext) == 4 * n
+    assert len(reg._lat) == len(reg._x) == len(reg._y) == len(reg._z) == len(reg._row_lines) == n
+    assert len(reg._ext) == 4 * n
     assert list(reg._lat) == sorted(reg._lat)
     assert len(set(reg._ids)) == n and set(reg._ids) == set(reg._lines)
     assert reg._row_lines == [reg._lines[box_id] for box_id in reg._ids]
     for row, line in enumerate(reg._row_lines):
         min_lon, min_lat, max_lon, max_lat = reg._ext[4 * row : 4 * row + 4]
         assert reg._lat[row] == (min_lat + max_lat) / 2.0
-        assert reg._lon[row] == (min_lon + max_lon) / 2.0
+        assert (reg._x[row], reg._y[row], reg._z[row]) == geo.unit_vector(reg._lat[row], (min_lon + max_lon) / 2.0)
         record = json.loads(line)
         assert record["id"] == reg._ids[row]
         assert (record["min_lon"], record["min_lat"], record["max_lon"], record["max_lat"]) == (
@@ -994,7 +1143,7 @@ def test_query_results_encode_their_lines_after_a_merge_absorbs_one():
     second = add(reg, BoxExtent(3, 0, 4, 1)).stored
     lines = reg.boxes_within_radius(GeoPoint(0.5, 2.0), 500_000.0)
     encoded = encode_boxes(lines)
-    assert json.loads(encoded) == [box_record(first), box_record(second)]
+    assert json.loads(encoded)["boxes"] == [box_record(first), box_record(second)]
     assert add(reg, BoxExtent(0.5, 0.5, 2, 2)).replaced_ids == (first.id,)
     assert first.id not in {b.id for b in stored_boxes(reg)}
     assert encode_boxes(lines) == encoded
