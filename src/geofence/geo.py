@@ -8,9 +8,13 @@ function on immutable values, safe to call from any thread.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import add, mul, truediv
+from typing import Iterable, Iterator, Sequence
 
 EARTH_RADIUS_M = 6_371_000.0  # mean earth radius
 MILE_M = 1_609.344
@@ -102,6 +106,11 @@ def centroid(box: BoxExtent) -> GeoPoint:
     )
 
 
+def midpoints(lo: Iterable[float], hi: Iterable[float]) -> Iterator[float]:
+    """centroid's arithmetic over two columns, (lo + hi) / 2.0 a pair at a time, in C."""
+    return map(truediv, map(add, lo, hi), repeat(2.0))
+
+
 def lat_reach(distance_m: float) -> float:
     """Half-height, in degrees, of a latitude band holding all within distance_m of its middle.
 
@@ -127,8 +136,22 @@ def lon_reach(distance_m: float, lat: float) -> float:
 
 def unit_vector(lat: float, lon: float) -> tuple[float, float, float]:
     """The direction of a position from the Earth's centre, (x, y, z) on the unit sphere; z points north."""
-    phi, lam = math.radians(lat), math.radians(lon)
-    return math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)
+    (x,), (y,), (z,) = unit_vectors((lat,), (lon,))
+    return x, y, z
+
+
+def unit_vectors(lats: Sequence[float], lons: Iterable[float]) -> tuple[array, array, array]:
+    """unit_vector of each (lat, lon) pair, as x, y and z columns; one formula, so the same floats.
+
+    x = cos(phi) cos(lam), y = cos(phi) sin(lam), z = sin(phi), in radians,
+    a column at a time in C; each column goes through one list of floats.
+    """
+    cos_phi = array("d", list(map(math.cos, map(math.radians, lats))))
+    lam = array("d", list(map(math.radians, lons)))
+    x = array("d", list(map(mul, cos_phi, map(math.cos, lam))))
+    y = array("d", list(map(mul, cos_phi, map(math.sin, lam))))
+    z = array("d", list(map(math.sin, map(math.radians, lats))))
+    return x, y, z
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:

@@ -28,9 +28,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter, sub
-from typing import Container, Iterable, Iterator, NamedTuple
+from itertools import chain, repeat
+from operator import itemgetter, le, sub
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geo, snapshot
 from .geo import BoxExtent, GeoPoint
@@ -105,6 +105,7 @@ def _is_canonical(line: bytes, record: dict) -> bool:
     ``box_record`` of the box built from it, so the line parses equal to
     its canonical encoding; the last two checks reject stray whitespace
     and a missing final newline, which the snapshot join relies on.
+    ``canonical_columns`` is the same test a chunk at a time.
     """
     return (
         tuple(record) == _RECORD_KEYS
@@ -142,6 +143,91 @@ def row_from_record(record: dict) -> tuple:
     return box_id, min_lon, min_lat, max_lon, max_lat, mid_lat, added_by, reason, created_at
 
 
+def canonical_columns(records: list, lines: Sequence[bytes] | None = None) -> list[tuple] | None:
+    """The batch checker: the row columns of records that are all canonical, or None.
+
+    Returns ``row_from_record``'s nine fields as nine tuples, one value a
+    record, when every record has ``box_record``'s keys in sorted order with
+    their value types (so it equals ``box_record`` of its box) and passes
+    every rule of ``row_from_record``; None when any does not, and
+    ``row_from_record`` then names the first that fails. With ``lines``,
+    each record's own line, which its caller has seen end in "}\n", it is
+    also ``_is_canonical`` of every line: no space in a line stands outside
+    its string values.
+    """
+    if set(map(type, records)) != {dict}:
+        return None
+    keys = tuple(records[0])  # one parse shares its key strings, which then compare by identity
+    if keys != _RECORD_KEYS or not all(map(keys.__eq__, map(tuple, records))):
+        return None
+    added_by, mid_lat, mid_lon, created_at, ids, max_lat, max_lon, min_lat, min_lon, reason = zip(*map(dict.values, records))
+    if (
+        set(map(type, chain(mid_lat, mid_lon, created_at, max_lat, max_lon, min_lat, min_lon))) != {float}
+        or set(map(type, chain(ids, added_by, reason))) != {str}
+        # each row's corners in order (a NaN is in no order), so the outer bounds bound them all
+        or not (all(map(le, min_lon, max_lon)) and all(map(le, min_lat, max_lat)))
+        or not (-180.0 <= min(min_lon) and max(max_lon) <= 180.0 and -90.0 <= min(min_lat) and max(max_lat) <= 90.0)
+        or mid_lat != tuple(geo.midpoints(min_lat, max_lat))
+        or mid_lon != tuple(geo.midpoints(min_lon, max_lon))
+        # one NaN or infinity makes the sum one, and so might an overflow, which row_from_record then takes
+        or not math.isfinite(sum(created_at))
+    ):
+        return None
+    if lines is not None:
+        spaces = map(str.count, map("".join, zip(ids, added_by, reason)), repeat(" "))
+        if list(map(bytes.count, lines, repeat(b" "))) != list(spaces):
+            return None
+    return [ids, min_lon, min_lat, max_lon, max_lat, mid_lat, added_by, reason, created_at]
+
+
+def record_columns(records: list) -> list[Sequence]:
+    """The row columns of records, checked: ``canonical_columns``, or ``row_from_record`` a record at a time."""
+    columns = canonical_columns(records)
+    if columns is None:
+        rows = list(map(row_from_record, records))
+        columns = list(zip(*rows)) if rows else [()] * 9
+    return columns
+
+
+_CHUNK_LINES = 256  # snapshot lines parsed by one json.loads call
+
+
+def canonical_chunks(lines: list[bytes], start: int = 0) -> Iterator[tuple[int, list[bytes], list[tuple] | None]]:
+    """Cut lines[start:] into chunks; yield each chunk's first index, its lines and their checked columns.
+
+    The columns, as ``canonical_columns`` gives them, come from one
+    ``json.loads`` over the whole chunk, and are None when that parse fails,
+    finds one record more or fewer than lines, or any line or record is not
+    canonical; the caller then takes the chunk a line at a time.
+
+    Why every record is then its own line's, as ``json.loads`` of the line
+    alone would give it: no JSON string holds a raw newline, so the "}"
+    before each line's "\n" closes an object; a canonical record holds no
+    object or array, so that object is a record. Every line therefore
+    closes at least one record, and with as many records as lines, exactly
+    one. The record a line closes opens after the one the line before
+    closed, so within the line, and the comma joining two lines is the only
+    text between two records. A byte-order mark or a NUL that would make
+    ``json.loads`` read one line alone in another encoding fails the joined
+    parse, which reads UTF-8.
+    """
+    for first in range(start, len(lines), _CHUNK_LINES):
+        chunk = lines[first : first + _CHUNK_LINES]
+        yield first, chunk, _chunk_columns(chunk)
+
+
+def _chunk_columns(chunk: list[bytes]) -> list[tuple] | None:
+    text = b",".join(chunk)
+    # a line holds one "\n", at its end, so this counts the lines that end in "}\n"
+    if text.count(b"}\n") != len(chunk):
+        return None
+    try:
+        records = json.loads(b"[" + text + b"]")
+    except (ValueError, RecursionError):
+        return None
+    return canonical_columns(records, chunk) if len(records) == len(chunk) else None
+
+
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Pause cyclic GC, process-wide, for a decode, whose objects all stay alive; re-enable only if it was on."""
@@ -152,11 +238,6 @@ def collector_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
-
-
-def _midpoints(lo: Iterable[float], hi: Iterable[float]) -> array:
-    """A centroid column from two extent columns: geo.centroid's arithmetic."""
-    return array("d", [(a + b) / 2.0 for a, b in zip(lo, hi)])
 
 
 def max_half_height(ext: array) -> float:
@@ -320,8 +401,11 @@ class Registry:
             if absorbed and self.audit_log_path:
                 audit_size = self._append_audit(stored.id, [self._row_lines[row] for row in absorbed], now)
             if self.snapshot_path:
-                gone = set(absorbed.values())
-                lines = [line for box_id, line in self._lines.items() if box_id not in gone]
+                if absorbed:
+                    gone = set(absorbed.values())
+                    lines = [line for box_id, line in self._lines.items() if box_id not in gone]
+                else:  # as most adds are: copied in C, in a third of the comprehension's time
+                    lines = list(self._lines.values())
                 lines.append(stored_line)
                 try:
                     snapshot.write_snapshot(self.snapshot_path, lines)
@@ -407,22 +491,31 @@ class Registry:
         with self._write_lock:
             lines: dict[str, bytes] = {}
             ext = array("d")
-            # one record at a time: only the lines and the packed extents stay alive
-            for i, line in enumerate(snapshot.read_snapshot(source)):
-                record = snapshot.parse_line(source, i, line)
-                try:
-                    row = row_from_record(record)
-                except (ValueError, geo.InvalidCoordinate) as exc:
-                    raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
-                box_id = row[0]
-                if box_id in lines:
-                    raise CorruptSnapshot(f"{source}: duplicate box id {box_id}")
-                if _is_canonical(line, record):
-                    lines[box_id] = line
-                else:
-                    box = RestrictedBox(box_id, BoxExtent(*row[1:5]), *row[6:])
-                    lines[box_id] = snapshot.encode_record(box_record(box))
-                ext.extend(row[1:5])
+            # a chunk at a time: only the lines and the packed extents stay alive
+            for start, chunk, columns in canonical_chunks(snapshot.read_snapshot(source)):
+                if columns is not None:
+                    ids, *corners = columns[:5]
+                    new = dict(zip(ids, chunk))
+                    if len(new) == len(chunk) and lines.keys().isdisjoint(new):
+                        lines.update(new)  # canonical lines, kept byte for byte
+                        ext.fromlist(list(chain.from_iterable(zip(*corners))))
+                        continue
+                # a line at a time, as the first bad line or repeated id is named
+                for i, line in enumerate(chunk, start):
+                    record = snapshot.parse_line(source, i, line)
+                    try:
+                        row = row_from_record(record)
+                    except (ValueError, geo.InvalidCoordinate) as exc:
+                        raise CorruptSnapshot(f"{source}: bad box record: {exc}") from exc
+                    box_id = row[0]
+                    if box_id in lines:
+                        raise CorruptSnapshot(f"{source}: duplicate box id {box_id}")
+                    if _is_canonical(line, record):
+                        lines[box_id] = line
+                    else:
+                        box = RestrictedBox(box_id, BoxExtent(*row[1:5]), *row[6:])
+                        lines[box_id] = snapshot.encode_record(box_record(box))
+                    ext.extend(row[1:5])
             if self.audit_log_path:
                 self._repair_audit(lines)
             self._publish(lines, list(lines), ext)
@@ -437,14 +530,21 @@ class Registry:
         absorbed, so the half-height bound over the stored boxes alone is the
         running maximum.
         """
-        lat = _midpoints(ext[1::4], ext[3::4])
-        order = sorted(range(len(ids)), key=lat.__getitem__)  # stable; an old store is one sorted run
-        ext = array("d", chain.from_iterable(ext[4 * row : 4 * row + 4] for row in order))
-        ids = [ids[row] for row in order]
-        row_lines = [lines[box_id] for box_id in ids]
-        lat = _midpoints(ext[1::4], ext[3::4])
-        xyz = array("d", chain.from_iterable(map(geo.unit_vector, lat, _midpoints(ext[0::4], ext[2::4]))))
-        x, y, z = xyz[0::3], xyz[1::3], xyz[2::3]
+        lat = array("d", list(geo.midpoints(ext[1::4], ext[3::4])))
+        # stable; an old store is one sorted run. Packed, the order holds no int object per row
+        order = array("L", sorted(range(len(ids)), key=lat.__getitem__))
+
+        def gather(column: list) -> list:  # into row order, in C
+            return list(map(column.__getitem__, order))
+
+        lat = array("d", gather(lat.tolist()))
+        rows_ext = array("d", [0.0]) * len(ext)
+        for k in range(4):  # a column at a time
+            rows_ext[k::4] = array("d", gather(ext[k::4].tolist()))
+        ext = rows_ext
+        ids = gather(ids)
+        row_lines = list(map(lines.__getitem__, ids))
+        x, y, z = geo.unit_vectors(lat, geo.midpoints(ext[0::4], ext[2::4]))
         half_h = max_half_height(ext)
         with self._lock:
             self._lines, self._ids, self._row_lines = lines, ids, row_lines

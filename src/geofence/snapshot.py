@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAGIC = "GFG1"
 FORMAT_VERSION = 1
@@ -39,29 +39,32 @@ def encode_record(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def _pieces(lines: Sequence[bytes]) -> Iterator[bytes]:
-    for i in range(0, len(lines), _PIECE_LINES):
-        yield b"".join(lines[i : i + _PIECE_LINES])
+def _header(count: int, crc: int) -> bytes:
+    return f"{MAGIC} {FORMAT_VERSION} {count} {crc:08x}\n".encode("ascii")
 
 
 def write_snapshot(path: str, lines: Sequence[bytes]) -> None:
     """Write pre-encoded record lines as a snapshot, atomically.
 
-    The body is checksummed and written a piece at a time, never joined
+    The body is joined, checksummed and written a piece at a time, never
     whole, so a write holds about one piece beyond the lines themselves.
+    The header's length does not depend on the checksum, so it is written
+    last, over a placeholder.
     """
-    crc = 0
-    for piece in _pieces(lines):
-        crc = zlib.crc32(piece, crc)
-    header = f"{MAGIC} {FORMAT_VERSION} {len(lines)} {crc:08x}\n".encode("ascii")
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     renamed = False
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".snapshot-", suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
-            f.write(header)
-            f.writelines(_pieces(lines))
+            f.write(_header(len(lines), 0))
+            crc = 0
+            for i in range(0, len(lines), _PIECE_LINES):
+                piece = b"".join(lines[i : i + _PIECE_LINES])
+                crc = zlib.crc32(piece, crc)
+                f.write(piece)
+            f.seek(0)
+            f.write(_header(len(lines), crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp_path, path)

@@ -11,7 +11,7 @@ import types
 
 import pytest
 
-from geofence import datasets, device, geo, snapshot
+from geofence import datasets, device, geo, registry, snapshot
 from geofence.device import (
     DevicePolicy,
     DeviceState,
@@ -543,10 +543,12 @@ def test_fetched_rows_sort_themselves_whatever_order_the_records_arrive_in(monke
         boxes = band_edge_boxes(rng, fix, f"t{trial}")
         records = [device.box_record(b) for b in boxes]
         rng.shuffle(records)
-        records.sort(key=lambda r: -r["centroid_lat"])  # the server's order, reversed
+        # the server's order, reversed, or as it is (a stable sort leaves equal latitudes as they came)
+        records.sort(key=lambda r: -r["centroid_lat"] if trial % 2 else r["centroid_lat"])
         serve_records(monkeypatch, records)
         rows = device.fetch_boxes("http://127.0.0.1:9", HOME, POLICY.fetch_radius)
         assert list(rows.centroid_lat) == sorted(r["centroid_lat"] for r in records)
+        assert rows.ids == [r["id"] for r in sorted(records, key=lambda r: r["centroid_lat"])]
         assert sorted(tuple(device.box_record(b).items()) for b in rows) == sorted(tuple(r.items()) for r in records)
         state = fresh_state(center=fix, radius=1e7)
         device.apply_refresh(state, rows, fix, 1e7, now=0.0)
@@ -623,7 +625,8 @@ def many_boxes(n):
 
 
 def serve_records(monkeypatch, records):
-    body = json.dumps({"boxes": records}).encode()
+    """Reply to every request with records as the registry serves them: canonical lines."""
+    body = registry.encode_boxes([snapshot.encode_record(r) for r in records])
     monkeypatch.setattr(device, "http_request", lambda *args, **kwargs: (200, body))
 
 
@@ -643,24 +646,24 @@ def test_fetch_boxes_leaves_the_collector_as_it_found_it(monkeypatch, gc_starts,
 
 def test_fetch_boxes_starts_no_collection_while_it_decodes(monkeypatch, gc_starts):
     serve_records(monkeypatch, [device.box_record(b) for b in many_boxes(5000)])
-    parse = device.row_from_record
-    seen = []  # collections started so far: at the parse, then as each row is checked
+    check = registry.canonical_columns
+    seen = []  # collections started so far: at the parse, then once the records are checked
 
     def watched_loads(body):
         seen.append(len(gc_starts))
         return json.loads(body)
 
-    def watched(record):
-        row = parse(record)
+    def watched(records, lines=None):
+        columns = check(records, lines)
         seen.append(len(gc_starts))
-        return row
+        return columns
 
     # the parse is called as device.json.loads, as perfbench's tracer relies on
     monkeypatch.setattr(device, "json", types.SimpleNamespace(loads=watched_loads))
-    monkeypatch.setattr(device, "row_from_record", watched)
+    monkeypatch.setattr(registry, "canonical_columns", watched)
     gc.enable()
     assert len(device.fetch_boxes("http://127.0.0.1:9", HOME, 1000.0)) == 5000
-    assert len(seen) == 5001 and seen[-1] == seen[0]
+    assert len(seen) == 2 and seen[-1] == seen[0]
 
 
 def test_a_refresh_leaves_the_young_generation_a_handful_of_objects(monkeypatch, gc_starts):
@@ -796,6 +799,27 @@ def test_cache_load_rejects_a_box_whose_text_field_is_not_a_string(tmp_path, key
         device.cache_load(path)
 
 
+def test_cache_load_reads_non_canonical_box_lines_as_each_line_alone(tmp_path):
+    path = str(tmp_path / "cache.snap")
+    state = fresh_state(boxes=many_boxes(600))
+    device.cache_save(state, path)
+    lines = snapshot.read_snapshot(path)
+    assert device.cache_load(path).cache == state.cache
+    # lines 1-256 are the first chunk of box lines; an int-cornered, a spaced
+    # and a newline-less line parse to the same boxes
+    for k in (1, 256, 257):
+        record = json.loads(lines[k])
+        lines[k] = json.dumps(dict(record, created_at=0)).encode() + b"\n"
+    lines[-1] = lines[-1].rstrip(b"\n")
+    snapshot.write_snapshot(path, lines)
+    loaded = device.cache_load(path)
+    assert loaded.cache == state.cache and loaded.last_refresh_at == state.last_refresh_at
+    lines[400] = b"{not json\n"
+    snapshot.write_snapshot(path, lines)
+    with pytest.raises(CorruptSnapshot, match="invalid JSON on line 402"):
+        device.cache_load(path)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_cache_load_leaves_the_collector_as_it_found_it(tmp_path, gc_starts, enabled):
     path = str(tmp_path / "cache.snap")
@@ -814,18 +838,19 @@ def test_cache_load_leaves_the_collector_as_it_found_it(tmp_path, gc_starts, ena
 def test_cache_load_starts_no_collection_while_it_builds(tmp_path, monkeypatch, gc_starts):
     path = str(tmp_path / "cache.snap")
     device.cache_save(fresh_state(boxes=many_boxes(5000)), path)
-    parse = device.row_from_record
-    seen = []  # collections started so far, as each row is checked
+    check = registry.canonical_columns
+    checked, seen = [], []  # records checked and collections started so far, as each chunk is checked
 
-    def watched(record):
-        row = parse(record)
+    def watched(records, lines=None):
+        columns = check(records, lines)
+        checked.append(len(records))
         seen.append(len(gc_starts))
-        return row
+        return columns
 
-    monkeypatch.setattr(device, "row_from_record", watched)
+    monkeypatch.setattr(registry, "canonical_columns", watched)
     gc.enable()
     assert len(device.cache_load(path).cache) == 5000
-    assert len(seen) == 5000 and seen[-1] == seen[0]
+    assert sum(checked) == 5000 and seen[-1] == seen[0]
 
 
 def test_cache_file_contains_exactly_one_fix(tmp_path):

@@ -332,3 +332,23 @@ def test_lat_reach_holds_every_point_at_that_distance():
         bearing = rng.choice([0.0, 180.0, rng.uniform(0, 360)])
         p = geo.destination(origin, bearing, rng.uniform(0.0, 100_000.0))
         assert abs(p.lat - origin.lat) <= geo.lat_reach(geo.haversine_distance(origin, p))
+
+
+# -- columns ---------------------------------------------------------------------
+
+
+def test_unit_vectors_and_midpoints_are_the_scalar_formulas_bit_for_bit():
+    rng = random.Random(37)
+    edges = [(90.0, 180.0), (-90.0, -180.0), (0.0, -0.0), (-0.0, 0.0), (45.0, 180.0), (1e-300, -1e-300)]
+    points = edges + [(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(2000)]
+    lats, lons = [p[0] for p in points], [p[1] for p in points]
+    x, y, z = geo.unit_vectors(lats, iter(lons))
+    for (lat, lon), got in zip(points, zip(x, y, z)):
+        phi, lam = math.radians(lat), math.radians(lon)
+        expected = (math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi))
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(got) == repr(expected) == repr(geo.unit_vector(lat, lon))
+    boxes = [random_box(rng) for _ in range(2000)]
+    lat_mid = list(geo.midpoints([b.min_lat for b in boxes], [b.max_lat for b in boxes]))
+    lon_mid = list(geo.midpoints((b.min_lon for b in boxes), (b.max_lon for b in boxes)))
+    assert repr(list(zip(lat_mid, lon_mid))) == repr([(c.lat, c.lon) for c in map(geo.centroid, boxes)])
