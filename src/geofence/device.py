@@ -26,14 +26,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from operator import le
 from typing import Iterable, Iterator, Sequence
 from urllib.parse import urlencode
 
 from . import geo, snapshot
 from .geo import GeoPoint, MILE_M, trusted_extent
-from .registry import RestrictedBox, box_record, canonical_chunks, collector_paused, max_half_height, record_columns
+from .registry import RestrictedBox, box_record, collector_paused, max_half_height, record_columns
 from .snapshot import CorruptSnapshot
 
 _STATE_KIND = "device_state"
@@ -122,29 +121,19 @@ class BoxRows:
 
     def __init__(self, records: Iterable[dict] = ()) -> None:
         with collector_paused():  # the checked values are all alive until the columns are built
-            self._fill(record_columns(list(records)))
+            ids, *corners, mid_lat, added_by, reason, created_at = record_columns(list(records))
+            # a registry reply's rows come in centroid-latitude order already
+            in_order = all(map(le, mid_lat, mid_lat[1:]))
+            order = None if in_order else sorted(range(len(ids)), key=mid_lat.__getitem__)  # stable
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> BoxRows:
-        """The rows of columns already checked, as ``registry.record_columns`` returns them."""
-        rows = cls.__new__(cls)
-        rows._fill(columns)
-        return rows
+            def gather(column: Sequence) -> list:  # into row order, in C
+                return list(column) if order is None else list(map(column.__getitem__, order))
 
-    def _fill(self, columns: Sequence[Sequence]) -> None:
-        ids, *corners, mid_lat, added_by, reason, created_at = columns
-        # a registry reply's rows come in centroid-latitude order already
-        in_order = all(map(le, mid_lat, mid_lat[1:]))
-        order = None if in_order else sorted(range(len(ids)), key=mid_lat.__getitem__)  # stable
-
-        def gather(column: Sequence) -> list:  # into row order, in C
-            return list(column) if order is None else list(map(column.__getitem__, order))
-
-        self.ids, self.added_by, self.reason = gather(ids), gather(added_by), gather(reason)
-        self.centroid_lat, self.created_at = array("d", gather(mid_lat)), array("d", gather(created_at))
-        self.ext = ext = array("d", [0.0]) * (4 * len(ids))
-        for k, corner in enumerate(corners):  # min_lon, min_lat, max_lon, max_lat
-            ext[k::4] = array("d", gather(corner))
+            self.ids, self.added_by, self.reason = gather(ids), gather(added_by), gather(reason)
+            self.centroid_lat, self.created_at = array("d", gather(mid_lat)), array("d", gather(created_at))
+            self.ext = ext = array("d", [0.0]) * (4 * len(ids))
+            for k, corner in enumerate(corners):  # min_lon, min_lat, max_lon, max_lat
+                ext[k::4] = array("d", gather(corner))
         self.half_h = max_half_height(ext)
 
     def __len__(self) -> int:
@@ -354,17 +343,8 @@ def _header_number(head: dict, key: str, default: float | None = None) -> float 
 
 
 def cache_load(path: str) -> DeviceState:
-    """Load a device cache file written by cache_save.
-
-    The box lines are parsed and checked a chunk at a time
-    (``registry.canonical_chunks``); when any chunk is not canonical, every
-    line is parsed alone and every box record checked by ``BoxRows``.
-    """
-    lines = snapshot.read_snapshot(path)
-    with collector_paused():  # the checked values are all alive until the columns are built
-        chunks = [columns for _, _, columns in canonical_chunks(lines, 1)]
-    canonical = all(chunks)
-    records = [snapshot.parse_line(path, i, line) for i, line in enumerate(lines[:1] if canonical else lines)]
+    """Load a device cache file written by cache_save."""
+    records = [snapshot.parse_line(path, i, line) for i, line in enumerate(snapshot.read_snapshot(path))]
     if not records or records[0].get("kind") != _STATE_KIND:
         raise CorruptSnapshot(f"{path}: missing device state header record")
     head = records[0]
@@ -383,10 +363,7 @@ def cache_load(path: str) -> DeviceState:
             ),
             coverage_radius_m=float(radius),
         )
-        if canonical:
-            state.cache = BoxRows.from_columns([tuple(chain.from_iterable(c)) for c in zip(*chunks)] or [()] * 9)
-        else:
-            state.cache = BoxRows(records[1:])
+        state.cache = BoxRows(records[1:])
     except (TypeError, ValueError, geo.InvalidCoordinate) as exc:
         raise CorruptSnapshot(f"{path}: bad device cache record: {exc}") from exc
     return state

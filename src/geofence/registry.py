@@ -192,31 +192,37 @@ def record_columns(records: list) -> list[Sequence]:
 _CHUNK_LINES = 256  # snapshot lines parsed by one json.loads call
 
 
-def canonical_chunks(lines: list[bytes], start: int = 0) -> Iterator[tuple[int, list[bytes], list[tuple] | None]]:
-    """Cut lines[start:] into chunks; yield each chunk's first index, its lines and their checked columns.
+def _snapshot_chunks(lines: list[bytes]) -> Iterator[tuple[int, list[bytes], list | None, list[tuple] | None]]:
+    """Cut snapshot lines into chunks; yield each chunk's first index, its lines, records and columns.
 
-    The columns, as ``canonical_columns`` gives them, come from one
-    ``json.loads`` over the whole chunk, and are None when that parse fails,
-    finds one record more or fewer than lines, or any line or record is not
-    canonical; the caller then takes the chunk a line at a time.
+    The records come from one ``json.loads`` over the whole chunk, and are
+    None unless every line ends in "}\n", the parse finds as many records
+    as lines, and each record is an object that holds no object or array;
+    the caller then parses the chunk a line at a time. The columns are
+    ``canonical_columns`` of the records and lines, or None.
 
-    Why every record is then its own line's, as ``json.loads`` of the line
+    Why each record is then its own line's, as ``json.loads`` of the line
     alone would give it: no JSON string holds a raw newline, so the "}"
-    before each line's "\n" closes an object; a canonical record holds no
-    object or array, so that object is a record. Every line therefore
-    closes at least one record, and with as many records as lines, exactly
-    one. The record a line closes opens after the one the line before
-    closed, so within the line, and the comma joining two lines is the only
-    text between two records. A byte-order mark or a NUL that would make
-    ``json.loads`` read one line alone in another encoding fails the joined
-    parse, which reads UTF-8.
+    before each line's "\n" closes an object, and as no record holds an
+    object, that object is a record. Every line therefore closes at least
+    one record, and with as many records as lines, exactly one. The record
+    a line closes opens after the one the line before closed, so within the
+    line, and the comma joining two lines is the only text between two
+    records. A byte-order mark or a NUL that would make ``json.loads`` read
+    one line alone in another encoding fails the joined parse, which reads
+    UTF-8.
     """
-    for first in range(start, len(lines), _CHUNK_LINES):
+    for first in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[first : first + _CHUNK_LINES]
-        yield first, chunk, _chunk_columns(chunk)
+        records = _joined_records(chunk)
+        columns = None if records is None else canonical_columns(records, chunk)
+        # canonical columns hold only floats and strings, so only other records need the look inside
+        if columns is None and records is not None and not _flat_objects(records):
+            records = None
+        yield first, chunk, records, columns
 
 
-def _chunk_columns(chunk: list[bytes]) -> list[tuple] | None:
+def _joined_records(chunk: list[bytes]) -> list | None:
     text = b",".join(chunk)
     # a line holds one "\n", at its end, so this counts the lines that end in "}\n"
     if text.count(b"}\n") != len(chunk):
@@ -225,7 +231,14 @@ def _chunk_columns(chunk: list[bytes]) -> list[tuple] | None:
         records = json.loads(b"[" + text + b"]")
     except (ValueError, RecursionError):
         return None
-    return canonical_columns(records, chunk) if len(records) == len(chunk) else None
+    return records if len(records) == len(chunk) else None
+
+
+def _flat_objects(records: list) -> bool:
+    """Whether every record is an object that holds no object or array."""
+    return set(map(type, records)) <= {dict} and {dict, list}.isdisjoint(
+        map(type, chain.from_iterable(map(dict.values, records)))
+    )
 
 
 @contextmanager
@@ -401,11 +414,8 @@ class Registry:
             if absorbed and self.audit_log_path:
                 audit_size = self._append_audit(stored.id, [self._row_lines[row] for row in absorbed], now)
             if self.snapshot_path:
-                if absorbed:
-                    gone = set(absorbed.values())
-                    lines = [line for box_id, line in self._lines.items() if box_id not in gone]
-                else:  # as most adds are: copied in C, in a third of the comprehension's time
-                    lines = list(self._lines.values())
+                gone = set(absorbed.values())
+                lines = [line for box_id, line in self._lines.items() if box_id not in gone]
                 lines.append(stored_line)
                 try:
                     snapshot.write_snapshot(self.snapshot_path, lines)
@@ -492,7 +502,7 @@ class Registry:
             lines: dict[str, bytes] = {}
             ext = array("d")
             # a chunk at a time: only the lines and the packed extents stay alive
-            for start, chunk, columns in canonical_chunks(snapshot.read_snapshot(source)):
+            for start, chunk, records, columns in _snapshot_chunks(snapshot.read_snapshot(source)):
                 if columns is not None:
                     ids, *corners = columns[:5]
                     new = dict(zip(ids, chunk))
@@ -500,9 +510,10 @@ class Registry:
                         lines.update(new)  # canonical lines, kept byte for byte
                         ext.fromlist(list(chain.from_iterable(zip(*corners))))
                         continue
-                # a line at a time, as the first bad line or repeated id is named
+                # a line at a time, as the first bad line or repeated id is named; a
+                # line is parsed alone only when the joined parse gave no records
                 for i, line in enumerate(chunk, start):
-                    record = snapshot.parse_line(source, i, line)
+                    record = snapshot.parse_line(source, i, line) if records is None else records[i - start]
                     try:
                         row = row_from_record(record)
                     except (ValueError, geo.InvalidCoordinate) as exc:

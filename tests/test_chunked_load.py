@@ -248,6 +248,47 @@ def test_a_record_across_two_lines_beside_two_records_on_one_fails_naming_its_li
     _split_across_two_lines(lines, at, tmp_path)
 
 
+def _parse_line_calls(monkeypatch, path):
+    """The state load_snapshot publishes for path and how many lines it parsed alone."""
+    calls = []
+    parse_line = snapshot.parse_line
+
+    def counted(*args):
+        calls.append(args[1])
+        return parse_line(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(snapshot, "parse_line", counted)
+        state = registry_state(path)
+    return state, len(calls)
+
+
+def test_a_store_of_no_canonical_line_is_still_parsed_a_chunk_at_a_time(tmp_path, monkeypatch, canonical_lines):
+    kinds = [kind for kind in VARIANTS if kind not in ("no last newline", "escaped e")]
+    lines = [VARIANTS[kinds[k % len(kinds)]](line, k) for k, line in enumerate(canonical_lines)]
+    assert not any(map(_oracle_is_canonical, lines, map(json.loads, lines)))
+    path = _store(tmp_path, lines)
+    state, parsed_alone = _parse_line_calls(monkeypatch, path)
+    assert parsed_alone == 0
+    assert state == oracle_state(path)
+
+
+@pytest.mark.parametrize("kind", ["an array", "an object", "no last newline"])
+def test_only_a_chunk_the_joined_parse_cannot_vouch_for_is_parsed_a_line_at_a_time(tmp_path, monkeypatch, canonical_lines, kind):
+    lines = list(canonical_lines)
+    if kind == "no last newline":
+        lines[-1] = lines[-1].rstrip(b"\n")
+        expected_calls = STORE_LINES - 3 * CHUNK
+    else:
+        # a record with a nested value: the records still match the lines, but
+        # the argument that they must no longer holds
+        value = [1.5] if kind == "an array" else {"a": 1.5}
+        lines[CHUNK + 3] = snapshot.encode_record(dict(json.loads(lines[CHUNK + 3]), note=value))
+        expected_calls = CHUNK
+    path = _store(tmp_path, lines)
+    state, parsed_alone = _parse_line_calls(monkeypatch, path)
+    assert parsed_alone == expected_calls
+    assert state == oracle_state(path)
 
 
 def test_a_chunk_that_parses_as_another_count_of_records_goes_a_line_at_a_time(tmp_path, canonical_lines):
