@@ -5,11 +5,15 @@ group with a single encompassing box, applied transitively until no overlap
 remains, so the stored set is always pairwise disjoint. Vicinity queries
 return every box whose centroid lies within a great-circle radius of a
 point. The store is a set of parallel columns, one row per box, sorted by
-centroid latitude: a query or an overlap search bisects a latitude band of
-them. A query then decides each row by its centroid's unit vector, sending
-only the rows too close to the radius to call to the exact haversine test;
-an overlap search tests each row's own longitude range before the exact
-overlap test. Both prune work but never change results. When bound to a
+a strip key: the centroid's latitude strip (``_STRIP_DEG`` tall), then its
+longitude. A query bisects, in each strip its latitude band meets, the
+longitude window its radius can reach, and decides each row there by its
+centroid's unit vector, sending only the rows too close to the radius to
+call to the exact haversine test; each strip's hits are put in latitude
+order, so the reply is in latitude order. An overlap search bisects the
+whole strips its latitude band meets and tests each row's own longitude
+range before the exact overlap test. Both prune work but never change
+results. When bound to a
 snapshot path, every add is persisted atomically before it returns, and
 boxes absorbed by merges are preserved in an append-only audit log; a load
 cuts from that log the entries of a merge that never committed.
@@ -29,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter, le, sub
+from operator import add, itemgetter, le, mul, sub, truediv
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geo, snapshot
@@ -56,19 +60,23 @@ class AddOutcome:
 
 
 def box_record(box: RestrictedBox) -> dict:
-    """Canonical dict form of a box, used on the wire and in snapshots; the centroid is derived."""
+    """Canonical dict form of a box, used on the wire and in snapshots; the centroid is derived.
+
+    The keys come in sorted order, ``_RECORD_KEYS``, as a parsed snapshot
+    line holds them, so ``canonical_columns`` takes a batch of these too.
+    """
     centroid = geo.centroid(box.extent)
     return {
-        "id": box.id,
-        "min_lon": float(box.extent.min_lon),
-        "min_lat": float(box.extent.min_lat),
-        "max_lon": float(box.extent.max_lon),
-        "max_lat": float(box.extent.max_lat),
-        "centroid_lon": centroid.lon,
-        "centroid_lat": centroid.lat,
         "added_by": box.added_by,
-        "reason": box.reason,
+        "centroid_lat": centroid.lat,
+        "centroid_lon": centroid.lon,
         "created_at": float(box.created_at),
+        "id": box.id,
+        "max_lat": float(box.extent.max_lat),
+        "max_lon": float(box.extent.max_lon),
+        "min_lat": float(box.extent.min_lat),
+        "min_lon": float(box.extent.min_lon),
+        "reason": box.reason,
     }
 
 
@@ -96,6 +104,7 @@ _RECORD_KEYS = (
 _RECORD_TYPES = (str, float, float, float, str, float, float, float, float, str)
 _fields = itemgetter(*_RECORD_KEYS)
 _centroid = itemgetter("centroid_lat", "centroid_lon")
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _is_canonical(line: bytes, record: dict) -> bool:
@@ -274,15 +283,53 @@ def max_half_height(ext: array) -> float:
 # test does; the rows inside it get that test.
 _DOT_EPS = 1e-12
 
+# The rows' order. A row's strip key is s * _STRIP_W + (lon + 180.0), where s
+# = floor((lat + 90.0) / _STRIP_DEG) is its centroid's latitude strip and lon
+# its centroid's longitude. Each of +, /, * and floor is monotone under
+# rounding, and a strip's keys lie in [s * W, s * W + 360] with W > 360, so
+# strips never interleave: the rows of a latitude band are the rows of the
+# strips it meets, and within a strip the rows of a longitude window lie
+# between the keys of its ends, computed by the same formula. Both bisects
+# are conservative as they stand. 0.02 degrees (about 2.2 km) was the
+# fastest 5 km query of heights from 0.005 to 0.05 on a 100k store, each of
+# which made it 4 to 8 times faster than one latitude band.
+_STRIP_DEG = 0.02
+_STRIP_W = 512.0
+
+
+def _strips(lats: Iterable[float]) -> Iterator[int]:
+    """The latitude strip of each latitude, in C."""
+    return map(math.floor, map(truediv, map(add, lats, repeat(90.0)), repeat(_STRIP_DEG)))
+
+
+def _strip_keys(strips: Iterable[int], lons: Iterable[float]) -> Iterator[float]:
+    """The strip key of each (strip, longitude) pair, in C: a row's, or the end of a window."""
+    return map(add, map(mul, strips, repeat(_STRIP_W)), map(add, lons, repeat(180.0)))
+
+
+def _lon_windows(lon: float, reach: float) -> list[tuple[float, float]] | None:
+    """The windows of [-180, 180] within reach degrees of lon, west to east; None for the whole circle.
+
+    A window that crosses +/-180 is cut in two there.
+    """
+    if reach >= 180.0:
+        return None
+    lo, hi = lon - reach, lon + reach
+    if lo < -180.0 or hi > 180.0:
+        lo, hi = (lo + 360.0, hi) if lo < -180.0 else (lo, hi - 360.0)
+        return [(-180.0, hi), (lo, 180.0)] if hi < lo else None
+    return [(lo, hi)]
+
 
 class Registry:
     """The restricted-box store.
 
     The state is ``_lines`` (box id -> canonical snapshot line, in snapshot
-    order) and one row per box in parallel columns sorted by centroid
-    latitude: the centroid latitudes, the x, y and z of the centroids' unit
-    vectors, the extents packed four floats a row (min_lon, min_lat,
-    max_lon, max_lat), the ids, and the lines again. No box object is kept:
+    order) and one row per box in parallel columns sorted by strip key (the
+    centroid's ``_STRIP_DEG`` latitude strip, then its longitude): the keys,
+    the centroid latitudes, the x, y and z of the centroids' unit vectors,
+    the extents packed four floats a row (min_lon, min_lat, max_lon,
+    max_lat), the ids, and the lines again. No box object is kept:
     ``add_box`` builds one for its outcome, and a query answers with the
     lines. The centroid columns come from the extents' midpoints; no box
     carries one.
@@ -291,7 +338,7 @@ class Registry:
     (``add_box``, ``bulk_load``, ``load_snapshot``); the writer does its
     slow work under it alone: overlap search, encode, audit append and the
     snapshot write and fsync. A short state lock guards the in-memory set:
-    readers hold it to slice their latitude band from the columns, and a
+    readers hold it to slice their strips' windows from the columns, and a
     writer takes it only to swap in a committed change. Only writer-mutex
     holders change the state, so a writer reads it without the state lock.
     Readers therefore see committed state only and never wait on snapshot
@@ -314,7 +361,8 @@ class Registry:
         self._write_lock = threading.Lock()  # serialises mutators
         self._lock = threading.Lock()  # guards the state readers see
         self._lines: dict[str, bytes] = {}  # id -> snapshot line, in snapshot order
-        # the rows, in centroid-latitude order
+        # the rows, in strip-key order
+        self._key = array("d")  # the centroids' strip keys
         self._lat = array("d")
         self._x, self._y, self._z = array("d"), array("d"), array("d")  # the centroids' unit vectors
         self._ext = array("d")  # 4 per row, in BoxExtent's field order
@@ -340,29 +388,46 @@ class Registry:
             return len(self._lines)
 
     def boxes_within_radius(self, center: GeoPoint, radius_m: float) -> list[bytes]:
-        """The canonical line of every box whose centroid is within radius_m of center (inclusive)."""
+        """The canonical line of every box whose centroid is within radius_m of center (inclusive).
+
+        The lines come in centroid-latitude order, which the device's cache keeps without a sort.
+        """
         if not (math.isfinite(radius_m) and radius_m > 0):
             raise ValueError("radius_m must be positive")
-        # meridian-arc bound: no centroid within radius_m lies outside the band
+        # meridian-arc bound: no centroid within radius_m lies outside the band, so its strips
         lat_pad = geo.lat_reach(radius_m)
+        first, last = _strips((max(-90.0, center.lat - lat_pad), min(90.0, center.lat + lat_pad)))
+        windows = _lon_windows(center.lon, geo.lon_reach(radius_m, center.lat))
+        if windows is None:  # the whole width: the run of strips is one span, sorted as one
+            spans = [[tuple(_strip_keys((first, last), (-180.0, 180.0)))]]
+        else:
+            spans = [[tuple(_strip_keys((s, s), window)) for window in windows] for s in range(first, last + 1)]
         # a row is in when the cosine of its centroid's angle from center is at least cos(r / R)
         cos_r = math.cos(min(math.pi, radius_m / geo.EARTH_RADIUS_M))
         accept, reject = cos_r + _DOT_EPS, cos_r - _DOT_EPS
         cx, cy, cz = geo.unit_vector(center.lat, center.lon)
         with self._lock:
-            lats = self._lat
-            lo, hi = bisect_left(lats, center.lat - lat_pad), bisect_right(lats, center.lat + lat_pad)
-            band = zip(self._row_lines[lo:hi], self._x[lo:hi], self._y[lo:hi], self._z[lo:hi])
+            keys, lats, xs, ys, zs, row_lines = self._key, self._lat, self._x, self._y, self._z, self._row_lines
+            strips = []
+            for strip in spans:
+                rows = [(bisect_left(keys, lo), bisect_right(keys, hi)) for lo, hi in strip]
+                strips.append([zip(row_lines[a:b], lats[a:b], xs[a:b], ys[a:b], zs[a:b]) for a, b in rows if a < b])
         lines = []
-        for line, x, y, z in band:
-            dot = x * cx + y * cy + z * cz
-            if dot >= accept or (
-                dot >= reject
-                # too close to call: the exact test on the centroid the line records, which
-                # row_from_record holds to the midpoint the row's columns were computed from
-                and geo.haversine_distance(center, GeoPoint(*_centroid(json.loads(line)))) <= radius_m
-            ):
-                lines.append(line)
+        for strip in strips:
+            hits = [
+                (lat, line)
+                for line, lat, x, y, z in chain.from_iterable(strip)
+                if (dot := x * cx + y * cy + z * cz) >= accept
+                or (
+                    dot >= reject
+                    # too close to call: the exact test on the centroid the line records, which
+                    # row_from_record holds to the midpoint the row's columns were computed from
+                    and geo.haversine_distance(center, GeoPoint(*_centroid(json.loads(line)))) <= radius_m
+                )
+            ]
+            # strips hold disjoint latitude ranges, so latitude order within each is the reply's
+            hits.sort(key=_first)
+            lines += map(_second, hits)
         return lines
 
     # -- adds -------------------------------------------------------------
@@ -374,13 +439,15 @@ class Registry:
         """
         union = extent
         absorbed: dict[int, str] = {}
-        lats, ext = self._lat, self._ext
+        keys, ext = self._key, self._ext
         pad_h = self._max_half_h + 1e-9
         while True:
-            # a box overlapping union has its centroid within its half-height of it
+            # a box overlapping union has its centroid within its half-height of it, so in
+            # the whole strips that band meets, which are one run of rows
+            lo, hi = _strip_keys(_strips((union.min_lat - pad_h, union.max_lat + pad_h)), (-180.0, 180.0))
             lon_lo, lon_hi = union.min_lon, union.max_lon
             hits: list[BoxExtent] = []
-            for row in range(bisect_left(lats, union.min_lat - pad_h), bisect_right(lats, union.max_lat + pad_h)):
+            for row in range(bisect_left(keys, lo), bisect_right(keys, hi)):
                 # the row's own longitude range first: it rules out most of the band
                 if ext[4 * row] <= lon_hi and ext[4 * row + 2] >= lon_lo and row not in absorbed:
                     box = geo.trusted_extent(ext[4 * row : 4 * row + 4])
@@ -437,14 +504,16 @@ class Registry:
         half_h = max(self._max_half_h, max_half_height(corners))
         centroid = geo.centroid(extent)
         x, y, z = geo.unit_vector(centroid.lat, centroid.lon)
+        (key,) = _strip_keys(_strips((centroid.lat,)), (centroid.lon,))
         with self._lock:
             # descending, so each deletion leaves the rows still to go in place
             for row in sorted(absorbed, reverse=True):
                 del self._lines[self._ids[row]]
-                del self._lat[row], self._x[row], self._y[row], self._z[row], self._ext[4 * row : 4 * row + 4]
-                del self._ids[row], self._row_lines[row]
+                del self._key[row], self._lat[row], self._x[row], self._y[row], self._z[row]
+                del self._ext[4 * row : 4 * row + 4], self._ids[row], self._row_lines[row]
             self._lines[box_id] = line
-            row = bisect_right(self._lat, centroid.lat)
+            row = bisect_right(self._key, key)
+            self._key.insert(row, key)
             self._lat.insert(row, centroid.lat)
             self._x.insert(row, x)
             self._y.insert(row, y)
@@ -535,19 +604,22 @@ class Registry:
     def _publish(self, lines: dict[str, bytes], ids: list[str], ext: array) -> None:
         """Swap in a whole new state: the id -> line map and its rows, in any order.
 
-        ``ids`` and the packed extents ``ext`` give the rows; the centroid
-        latitudes and unit vectors come from their extents' midpoints, as
-        ``geo.centroid`` computes them. A merged box contains every box it
-        absorbed, so the half-height bound over the stored boxes alone is the
-        running maximum.
+        ``ids`` and the packed extents ``ext`` give the rows; the strip keys,
+        centroid latitudes and unit vectors come from their extents'
+        midpoints, as ``geo.centroid`` computes them. A merged box contains
+        every box it absorbed, so the half-height bound over the stored boxes
+        alone is the running maximum.
         """
         lat = array("d", list(geo.midpoints(ext[1::4], ext[3::4])))
-        # stable; an old store is one sorted run. Packed, the order holds no int object per row
-        order = array("L", sorted(range(len(ids)), key=lat.__getitem__))
+        # built a float at a time: a list of them would raise the load's peak memory
+        key = array("d", _strip_keys(_strips(lat), geo.midpoints(ext[0::4], ext[2::4])))
+        # stable. Packed, the order holds no int object per row
+        order = array("L", sorted(range(len(ids)), key=key.__getitem__))
 
         def gather(column: list) -> list:  # into row order, in C
             return list(map(column.__getitem__, order))
 
+        key = array("d", map(key.__getitem__, order))  # gathered the same way
         lat = array("d", gather(lat.tolist()))
         rows_ext = array("d", [0.0]) * len(ext)
         for k in range(4):  # a column at a time
@@ -559,7 +631,7 @@ class Registry:
         half_h = max_half_height(ext)
         with self._lock:
             self._lines, self._ids, self._row_lines = lines, ids, row_lines
-            self._lat, self._x, self._y, self._z, self._ext = lat, x, y, z, ext
+            self._key, self._lat, self._x, self._y, self._z, self._ext = key, lat, x, y, z, ext
             self._max_half_h = half_h
 
     def _append_audit(self, merged_into: str, absorbed: Iterable[bytes], now: float) -> int:

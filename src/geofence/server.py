@@ -83,7 +83,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ---------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        log.debug("%s - %s", self.address_string(), format % args)
+        if log.isEnabledFor(logging.DEBUG):  # runs on every request: format only a line DEBUG keeps
+            log.debug("%s - %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload: dict, close: bool = False) -> None:
         self._send_body(status, json.dumps(payload).encode("utf-8"), close)

@@ -54,8 +54,13 @@ def oracle_state(path):
             lines[box_id] = snapshot.encode_record(box_record(box))
         ext.extend(row[1:5])
     ids = list(lines)
-    lat = array("d", [(a + b) / 2.0 for a, b in zip(ext[1::4], ext[3::4])])
-    order = sorted(range(len(ids)), key=lat.__getitem__)
+
+    def strip_key(row):  # the centroid's latitude strip, then its longitude
+        lat, lon = (ext[4 * row + 1] + ext[4 * row + 3]) / 2.0, (ext[4 * row] + ext[4 * row + 2]) / 2.0
+        return math.floor((lat + 90.0) / registry._STRIP_DEG) * registry._STRIP_W + (lon + 180.0)
+
+    order = sorted(range(len(ids)), key=strip_key)
+    key = array("d", [strip_key(row) for row in order])
     ext = array("d", chain.from_iterable(ext[4 * row : 4 * row + 4] for row in order))
     ids = [ids[row] for row in order]
     lat = array("d", [(a + b) / 2.0 for a, b in zip(ext[1::4], ext[3::4])])
@@ -66,6 +71,7 @@ def oracle_state(path):
         "ids": ids,
         "row_lines": [lines[box_id] for box_id in ids],
         "ext": ext.tobytes(),
+        "key": key.tobytes(),
         "lat": lat.tobytes(),
         "x": array("d", [math.cos(p) * math.cos(q) for p, q in zip(phi, lam)]).tobytes(),
         "y": array("d", [math.cos(p) * math.sin(q) for p, q in zip(phi, lam)]).tobytes(),
@@ -82,6 +88,7 @@ def registry_state(path):
         "ids": reg._ids,
         "row_lines": reg._row_lines,
         "ext": reg._ext.tobytes(),
+        "key": reg._key.tobytes(),
         "lat": reg._lat.tobytes(),
         "x": reg._x.tobytes(),
         "y": reg._y.tobytes(),

@@ -220,9 +220,13 @@ def test_a_query_at_the_world_radius_returns_every_stored_line(tmp_path):
 
 def assert_query_matches_scan(reg, center, radius):
     expected = {b.id for b in stored_boxes(reg) if geo.haversine_distance(center, geo.centroid(b.extent)) <= radius}
-    got = query_ids(reg, center, radius)
+    records = [json.loads(line) for line in reg.boxes_within_radius(center, radius)]
+    got = [record["id"] for record in records]
     assert len(got) == len(set(got))
     assert set(got) == expected
+    # the reply is in centroid-latitude order, which the device's cache keeps without a sort
+    lats = [record["centroid_lat"] for record in records]
+    assert lats == sorted(lats)
     return expected
 
 
@@ -296,6 +300,113 @@ def test_centroids_at_the_radius_and_an_ulp_either_side_match_the_linear_scan(ra
             for r in (math.nextafter(exact, 0.0), exact, math.nextafter(exact, math.inf)):
                 if r > 0:
                     assert (box.id in assert_query_matches_scan(reg, center, r)) is (r >= exact)
+
+
+def _strip(lat):
+    return math.floor((lat + 90.0) / registry._STRIP_DEG)
+
+
+def _first_of_strip(k):
+    """The least latitude in strip k, bisected down to an ulp about its nominal edge."""
+    lo, hi = k * registry._STRIP_DEG - 90.0 - 1e-9, k * registry._STRIP_DEG - 90.0 + 1e-9
+    assert _strip(lo) < k <= _strip(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if _strip(mid) >= k else (mid, hi)
+    return hi
+
+
+def assert_ulp_radii_match_scan(reg, center, boxes):
+    """Each box's centroid distance from center, and an ulp either side, as radii: the query matches the scan."""
+    for box in boxes:
+        exact = geo.haversine_distance(center, geo.centroid(box.extent))
+        for r in (math.nextafter(exact, 0.0), exact, math.nextafter(exact, math.inf)):
+            if r > 0:
+                assert (box.id in assert_query_matches_scan(reg, center, r)) is (r >= exact)
+
+
+def test_centroids_on_a_strip_boundary_and_an_ulp_either_side_match_the_linear_scan():
+    rng = random.Random(2101)
+    edges = [_first_of_strip(k) for k in (1, 4499, 4500, 6500, 8999)]  # near -90, 0, 40N and 90
+    lats = [v for lat in edges for v in (math.nextafter(lat, -math.inf), lat, math.nextafter(lat, math.inf))]
+    assert [_strip(lat) for lat in lats[:3]] == [0, 1, 1]
+    reg = Registry()
+    points = {(lat, rng.uniform(-1.0, 1.0)) for lat in lats for _ in range(4)}
+    reg.bulk_load([BoxExtent(lon, lat, lon, lat) for lat, lon in points], "gen", "", now=0)
+    boxes = stored_boxes(reg)
+    for edge in edges:
+        # due north and south of the edge, so a band's end lies on it; and on it, beside the rows
+        for center in (GeoPoint(edge - 0.015, 0.0), GeoPoint(edge + 0.015, 0.0), GeoPoint(edge, 0.5)):
+            near = [b for b in boxes if abs(geo.centroid(b.extent).lat - edge) < 1e-9]
+            assert_ulp_radii_match_scan(reg, center, rng.sample(near, 6))
+            for radius in (1.0, 500.0, 5_000.0, 25 * MILE_M):
+                assert_query_matches_scan(reg, center, radius)
+
+
+def test_rows_at_the_antimeridian_and_windows_that_wrap_it_match_the_linear_scan():
+    rng = random.Random(2102)
+    lons = [180.0, -180.0, math.nextafter(180.0, 0.0), math.nextafter(-180.0, 0.0), 179.99, -179.99, 179.9, -179.9]
+    points = {(rng.uniform(-60.0, 60.0), lon) for lon in lons for _ in range(20)}
+
+    def near_the_antimeridian():
+        return rng.choice((rng.uniform(178.0, 180.0), rng.uniform(-180.0, -178.0)))
+
+    points |= {(rng.uniform(-60.0, 60.0), near_the_antimeridian()) for _ in range(400)}
+    reg = Registry()
+    reg.bulk_load([BoxExtent(lon, lat, lon, lat) for lat, lon in points], "gen", "", now=0)
+    boxes = stored_boxes(reg)
+    wrapped = 0
+    for _ in range(40):
+        lat = rng.uniform(-60.0, 60.0)
+        center = GeoPoint(lat, rng.choice((180.0, -180.0, rng.uniform(179.5, 180.0), rng.uniform(-180.0, -179.5))))
+        radius = 10 ** rng.uniform(2.0, 5.5)
+        windows = registry._lon_windows(center.lon, geo.lon_reach(radius, center.lat))
+        wrapped += windows is not None and len(windows) == 2
+        assert_query_matches_scan(reg, center, radius)
+        assert_ulp_radii_match_scan(reg, center, rng.sample(boxes, 2))
+    assert wrapped > 20
+
+
+@pytest.mark.parametrize("pole", [90.0, -90.0], ids=["north", "south"])
+def test_queries_near_a_pole_where_the_window_is_the_whole_circle_match_the_linear_scan(pole):
+    rng = random.Random(2103 + int(pole))
+    side = math.copysign(1.0, pole)
+    points = {(pole - side * rng.uniform(0.0, 2.0), rng.uniform(-180.0, 180.0)) for _ in range(1500)}
+    points |= {(pole, 0.0), (pole, 180.0), (pole - side * 1e-9, -180.0)}
+    reg = Registry()
+    reg.bulk_load([BoxExtent(lon, lat, lon, lat) for lat, lon in points], "gen", "", now=0)
+    boxes = stored_boxes(reg)
+    for _ in range(40):
+        center = GeoPoint(pole - side * rng.uniform(0.0, 0.1), rng.uniform(-180.0, 180.0))
+        radius = 10 ** rng.uniform(4.3, 5.5)  # 20 to 316 km, so every band reaches the pole's cap
+        assert geo.lon_reach(radius, center.lat) == 180.0
+        assert registry._lon_windows(center.lon, 180.0) is None
+        assert_query_matches_scan(reg, center, radius)
+        assert_ulp_radii_match_scan(reg, center, rng.sample(boxes, 2))
+
+
+def test_a_world_radius_query_returns_every_line_in_centroid_latitude_order():
+    rng = random.Random(2104)
+    reg = Registry()
+    for _ in range(300):
+        lon, lat = rng.uniform(-180, 179.9), rng.uniform(-90, 89.9)
+        add(reg, BoxExtent(lon, lat, lon + rng.uniform(0, 0.1), lat + rng.uniform(0, 0.1)))
+    lines = reg.boxes_within_radius(GeoPoint(0, 0), WORLD_RADIUS_M)
+    assert sorted(lines) == sorted(reg._lines.values())
+    lats = [json.loads(line)["centroid_lat"] for line in lines]
+    assert lats == sorted(lats)
+    assert [b.id for b in stored_boxes(reg)] == [json.loads(line)["id"] for line in lines]
+
+
+def test_a_perfbench_style_store_answers_in_latitude_order_as_the_linear_scan():
+    center = GeoPoint(40.0, -74.5)
+    rng = random.Random(2105)
+    reg = Registry()
+    reg.bulk_load(datasets.generate_extents(5_000, center, 50 * MILE_M, rng), "gen", "", now=0)
+    for radius in (5_000.0, 25 * MILE_M):
+        for _ in range(10):
+            point = geo.destination(center, rng.uniform(0, 360), rng.uniform(0, 45 * MILE_M))
+            assert_query_matches_scan(reg, point, radius)
 
 
 def test_a_far_away_giant_does_not_widen_a_later_adds_overlap_search(monkeypatch):
@@ -949,6 +1060,15 @@ def test_box_record_has_exactly_the_wire_fields():
     }
 
 
+def test_box_records_pass_the_batch_checker():
+    # box_record writes its keys in sorted order, as a parsed line holds them, so the
+    # device's cache of box_record dicts (bench.run_bench, cache_save) is checked as a batch
+    stored = [add(Registry(), BoxExtent(i, 0, i + 1, 1)).stored for i in range(3)]
+    assert tuple(box_record(stored[0])) == registry._RECORD_KEYS
+    assert registry.canonical_columns([box_record(stored[0])]) is not None
+    assert registry.canonical_columns([box_record(b) for b in stored]) is not None
+
+
 def test_box_from_record_rejects_missing_fields():
     with pytest.raises(ValueError):
         row_from_record({"id": "x", "min_lon": 0})
@@ -1008,13 +1128,14 @@ def random_record(rng):
         lons[1] = lons[0]
     if rng.random() < 0.1:
         lats[1] = lats[0]
-    return {
+    record = {
         "id": f"{rng.getrandbits(64):016x}",
         "min_lon": lons[0], "min_lat": lats[0], "max_lon": lons[1], "max_lat": lats[1],
         "centroid_lon": (lons[0] + lons[1]) / 2.0, "centroid_lat": (lats[0] + lats[1]) / 2.0,
         "added_by": rng.choice(("op", "ops team", "")), "reason": rng.choice(("", "base", "a b c")),
         "created_at": rng.choice((rng.randint(0, 2**40), rng.uniform(0, 2e9), 0, -0.0)),
     }
+    return dict(sorted(record.items()))  # box_record's order: its keys sorted
 
 
 def test_box_from_record_equals_the_box_built_directly_on_seeded_records():
@@ -1086,14 +1207,16 @@ def test_load_snapshot_rejects_a_created_at_that_is_not_a_finite_float(tmp_path,
 
 def assert_columns_consistent(reg):
     n = len(reg._ids)
-    assert len(reg._lat) == len(reg._x) == len(reg._y) == len(reg._z) == len(reg._row_lines) == n
+    assert len(reg._key) == len(reg._lat) == len(reg._x) == len(reg._y) == len(reg._z) == len(reg._row_lines) == n
     assert len(reg._ext) == 4 * n
-    assert list(reg._lat) == sorted(reg._lat)
+    assert list(reg._key) == sorted(reg._key)
     assert len(set(reg._ids)) == n and set(reg._ids) == set(reg._lines)
     assert reg._row_lines == [reg._lines[box_id] for box_id in reg._ids]
     for row, line in enumerate(reg._row_lines):
         min_lon, min_lat, max_lon, max_lat = reg._ext[4 * row : 4 * row + 4]
         assert reg._lat[row] == (min_lat + max_lat) / 2.0
+        strip = math.floor((reg._lat[row] + 90.0) / registry._STRIP_DEG)
+        assert reg._key[row] == strip * registry._STRIP_W + ((min_lon + max_lon) / 2.0 + 180.0)
         assert (reg._x[row], reg._y[row], reg._z[row]) == geo.unit_vector(reg._lat[row], (min_lon + max_lon) / 2.0)
         record = json.loads(line)
         assert record["id"] == reg._ids[row]
@@ -1135,6 +1258,9 @@ def test_columns_stay_sorted_aligned_and_in_step_with_the_lines():
         absorbed += len(add(reg, BoxExtent(lon, lat, lon + 0.2, lat + 0.2)).replaced_ids)
         assert_columns_consistent(reg)
     assert absorbed > 50
+    for _ in range(50):
+        center = GeoPoint(rng.uniform(-1, 4), rng.uniform(-1, 7))
+        assert_query_matches_scan(reg, center, 10 ** rng.uniform(2.0, 6.0))
 
 
 def test_query_results_encode_their_lines_after_a_merge_absorbs_one():

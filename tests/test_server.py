@@ -1,6 +1,7 @@
 """HTTP endpoints: wire format, status codes, and registry equivalence."""
 
 import json
+import logging
 import random
 import socket
 import urllib.error
@@ -11,6 +12,7 @@ import pytest
 from geofence import geo
 from geofence.geo import BoxExtent, GeoPoint
 from geofence.registry import Registry, box_record
+from geofence.server import _Handler
 
 from conftest import LiveServer, stored_boxes
 
@@ -336,3 +338,26 @@ def test_a_library_server_with_a_snapshot_keeps_absorbed_boxes_in_its_audit_log(
         server.stop()
     [entry] = [json.loads(line) for line in open(path + ".audit", encoding="utf-8")]
     assert entry["merged_into"] == merged["stored"]["id"] and entry["box"] == first["stored"]
+
+
+def test_a_posted_box_lists_its_keys_in_the_order_of_every_fetched_record(live_server):
+    status, body = post_box(live_server.url, body_for(BoxExtent(0, 0, 1, 1)))
+    assert status == 201
+    with urllib.request.urlopen(live_server.url + "/v1/boxes?lat=0.5&lon=0.5&radius_m=1000", timeout=10) as resp:
+        [fetched] = json.loads(resp.read())["boxes"]
+    assert list(body["stored"]) == list(fetched) == sorted(WIRE_FIELDS)
+
+
+def test_the_request_log_formats_nothing_unless_debug_is_on(caplog):
+    class Request:
+        def address_string(self):
+            calls.append("address")
+            return "127.0.0.1"
+
+    calls = []
+    with caplog.at_level(logging.INFO, logger="geofence.server"):
+        _Handler.log_message(Request(), '"%s" %s', "GET /v1/boxes", 200)
+    assert calls == [] and not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="geofence.server"):
+        _Handler.log_message(Request(), '"%s" %s', "GET /v1/boxes", 200)
+    assert calls == ["address"] and caplog.records[-1].getMessage() == '127.0.0.1 - "GET /v1/boxes" 200'
